@@ -713,9 +713,9 @@ func (br *blockReader) selection(cq *compiledQuery, b *classify.Batch) []int32 {
 
 // scanPartitionBatch streams one partition's matching (batch,
 // selection) pairs; more reports whether the consumer wants to
-// continue. Pushdown and cancellation semantics are identical to the
-// row scan — this IS the scan kernel; the row path materializes from
-// it.
+// continue. Cancellation is honoured at block boundaries: a cancelled
+// ctx never interrupts the decode of a block already in flight. This
+// IS the scan kernel; row consumers materialize from it via rows.
 func scanPartitionBatch(ctx context.Context, path string, cq *compiledQuery, br *blockReader, st *ScanStats, proj classify.Projection, fn func(b *classify.Batch, sel []int32) bool) (more bool, err error) {
 	p, f, err := readPartition(path)
 	if err != nil {
@@ -793,8 +793,9 @@ func scanPartitionBatch(ctx context.Context, path string, cq *compiledQuery, br 
 	return handle(payload, blocks[0], false)
 }
 
-// scanEntriesBatch is scanEntries for the batch kernel: name-level
-// prune plus per-partition batch scan over a partition list.
+// scanEntriesBatch is the one partition-list driver: name-level prune
+// plus per-partition batch scan, for batch consumers and (via rows)
+// row consumers alike.
 func scanEntriesBatch(ctx context.Context, entries []storeEntry, cq *compiledQuery, br *blockReader, st *ScanStats, proj classify.Projection, fn func(b *classify.Batch, sel []int32) bool) (more bool, err error) {
 	for _, e := range entries {
 		if err := ctx.Err(); err != nil {

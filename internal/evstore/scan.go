@@ -496,55 +496,25 @@ func ScanContext(ctx context.Context, dir string, q Query, errp *error, st *Scan
 		cq := compileQuery(q)
 		var br blockReader
 		defer br.release()
-		if _, err := scanEntries(ctx, entries, cq, &br, st, yield); err != nil {
+		if _, err := scanEntriesBatch(ctx, entries, cq, &br, st, classify.ProjAll, rows(yield)); err != nil {
 			fail(err)
 		}
 	}
 }
 
-// scanEntries streams the matching events of a partition list through
-// one blockReader, applying the name-level prune and per-partition
-// scan; more reports whether the consumer wants to continue.
-func scanEntries(ctx context.Context, entries []storeEntry, cq *compiledQuery, br *blockReader, st *ScanStats, yield func(classify.Event) bool) (more bool, err error) {
-	for _, e := range entries {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		if st != nil {
-			st.Partitions++
-		}
-		if cq.pruneByName(e) {
-			if st != nil {
-				st.PartitionsPruned++
-			}
-			continue
-		}
-		more, err := scanPartition(ctx, e.path, cq, br, st, yield)
-		if err != nil {
-			return false, err
-		}
-		if !more {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// scanPartition streams one partition's matching events; more reports
-// whether the consumer wants to continue. Cancellation is honoured at
-// block boundaries: a cancelled ctx never interrupts the decode of a
-// block already in flight. The events are materialized from the batch
-// kernel; their slice fields alias the reader's scan-lifetime
-// dictionary and stay valid after the scan.
-func scanPartition(ctx context.Context, path string, cq *compiledQuery, br *blockReader, st *ScanStats, yield func(classify.Event) bool) (more bool, err error) {
-	return scanPartitionBatch(ctx, path, cq, br, st, classify.ProjAll, func(b *classify.Batch, sel []int32) bool {
+// rows adapts a row consumer to the batch scan drivers: each selected
+// event is materialized from the batch kernel in order. The events'
+// slice fields alias the reader's scan-lifetime dictionary and stay
+// valid after the scan.
+func rows(yield func(classify.Event) bool) func(b *classify.Batch, sel []int32) bool {
+	return func(b *classify.Batch, sel []int32) bool {
 		for _, si := range sel {
 			if !yield(b.Event(int(si))) {
 				return false
 			}
 		}
 		return true
-	})
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -663,7 +633,7 @@ func PartitionSource(path string, q Query, errp *error) stream.EventSource {
 		cq := compileQuery(q)
 		var br blockReader
 		defer br.release()
-		if _, err := scanPartition(context.Background(), path, cq, &br, nil, yield); err != nil {
+		if _, err := scanPartitionBatch(context.Background(), path, cq, &br, nil, classify.ProjAll, rows(yield)); err != nil {
 			if errp != nil && *errp == nil {
 				*errp = err
 			}

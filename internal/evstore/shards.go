@@ -54,7 +54,7 @@ func (s Shard) EventsContext(ctx context.Context, errp *error, st *ScanStats) st
 		}
 		var br blockReader
 		defer br.release()
-		if _, err := scanEntries(ctx, s.entries, s.cq, &br, st, yield); err != nil {
+		if _, err := scanEntriesBatch(ctx, s.entries, s.cq, &br, st, classify.ProjAll, rows(yield)); err != nil {
 			if errp != nil && *errp == nil {
 				*errp = err
 			}

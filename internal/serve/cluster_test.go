@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -139,6 +140,25 @@ func getAnswer(t testing.TB, base, path string) map[string]any {
 	return m
 }
 
+// postState POSTs a spec to a daemon's /v1/state and returns the raw
+// envelope bytes.
+func postState(t testing.TB, base string, spec serve.QuerySpec) []byte {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/state", "application/octet-stream", bytes.NewReader(serve.AppendQuerySpec(nil, spec)))
+	if err != nil {
+		t.Fatalf("POST /v1/state: %v", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/state: status %d: %s", resp.StatusCode, body)
+	}
+	return body
+}
+
 // firstRoute finds one announced route in the store to parameterize
 // figure4/5 (collector, peer, prefix, AS path).
 func firstRoute(t testing.TB, dir string) url.Values {
@@ -226,7 +246,7 @@ func TestClusterEquivalence(t *testing.T) {
 		t.FailNow()
 	}
 
-	// Warm repeats: both tiers serve from cache, still identical.
+	// Warm repeats: both servers answer from cache, still identical.
 	for _, path := range paths {
 		want := getAnswer(t, tsSingle.URL, path)
 		got := getAnswer(t, tsCoord.URL, path)
@@ -360,7 +380,7 @@ func TestClusterDegraded(t *testing.T) {
 
 	const nShards = 4
 	shardDirs, assigned := splitRandom(t, single, nShards, 7)
-	shards, _, tsCoord := startCluster(t, shardDirs)
+	shards, coord, tsCoord := startCluster(t, shardDirs)
 
 	sSingle, _, err := serve.New(context.Background(), serve.Config{Dir: single, Workers: 1})
 	if err != nil {
@@ -452,6 +472,24 @@ func TestClusterDegraded(t *testing.T) {
 		t.Fatal("repeat while shard down not partial")
 	}
 
+	// The coordinator's own /v1/state degrades the same way: its
+	// partial envelope is served but never cached, so a repeat is a
+	// miss and recomputes.
+	stateSpec := serve.QuerySpec{Kind: serve.KindIngress}
+	hits := coord.Stats(context.Background()).Cache.Hits
+	for i := 0; i < 2; i++ {
+		env, err := serve.DecodeStateEnvelope(postState(t, tsCoord.URL, stateSpec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !env.Partial() {
+			t.Fatalf("coordinator state with shard %d down not partial: %v", victim, env.Shards)
+		}
+	}
+	if st := coord.Stats(context.Background()).Cache; st.Hits != hits {
+		t.Fatalf("partial state envelope served from cache: %+v", st)
+	}
+
 	// Recovery: same address, fresh process over the same shard store.
 	shards[victim].start(t)
 	deadline := time.Now().Add(10 * time.Second)
@@ -467,6 +505,15 @@ func TestClusterDegraded(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got["data"], wantFresh["data"]) {
 		t.Fatalf("recovered answer diverged from single-node:\n got %v\nwant %v", got["data"], wantFresh["data"])
+	}
+	// The partial envelope was not cached, so the first call after the
+	// restart fans out again and is complete.
+	env, err := serve.DecodeStateEnvelope(postState(t, tsCoord.URL, stateSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.Partial() {
+		t.Fatalf("coordinator state still partial after shard restart: %v", env.Shards)
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -123,7 +124,8 @@ func (s *Server) handleOps(mux *http.ServeMux) {
 }
 
 // handleState serves the coordinator↔shard protocol: a binary
-// QuerySpec in, a binary StateEnvelope out. 204 reports an empty store
+// QuerySpec in, a binary StateEnvelope out, through the same cache as
+// answers under a "state|" key prefix. 204 reports an empty store
 // (nothing to contribute), which the coordinator treats as a complete
 // zero answer rather than a failure.
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
@@ -141,7 +143,13 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	env, err := s.engine.State(r.Context(), spec)
+	v, _, err := s.cached(r.Context(), "state|"+spec.CacheKey(), func(ctx context.Context) (any, uint64, bool, error) {
+		env, err := s.engine.State(ctx, spec)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		return env, env.Generation, env.Partial(), nil
+	})
 	if err != nil {
 		if errors.Is(err, ErrEmptyStore) {
 			w.WriteHeader(http.StatusNoContent)
@@ -151,7 +159,7 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(AppendStateEnvelope(nil, env))
+	w.Write(AppendStateEnvelope(nil, v.(*StateEnvelope)))
 }
 
 func (s *Server) serveAnswer(w http.ResponseWriter, r *http.Request, spec QuerySpec) {

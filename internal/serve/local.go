@@ -12,15 +12,13 @@ import (
 
 // LocalBackend answers state queries over one store directory: the
 // residual-scan planner for snapshot-covered windows, a cold parallel
-// scan when per-event filters force one. It keeps its own
-// generation-guarded LRU of computed envelopes plus a singleflight
-// group, so in shard mode repeated coordinator fan-outs of a hot spec
-// cost one merge — the shard-local tier of the two-tier cache.
+// scan when per-event filters force one. It is a pure engine and
+// caches nothing: the Server above it owns the process's only result
+// cache and singleflight group, for shaped answers and for the state
+// envelopes a shard daemon serves on POST /v1/state alike.
 type LocalBackend struct {
-	cfg    Config
-	ix     *evstore.SnapshotIndex
-	cache  *resultCache
-	flight *flightGroup
+	cfg Config
+	ix  *evstore.SnapshotIndex
 }
 
 // NewLocalBackend opens the store's snapshot index (building any
@@ -34,12 +32,7 @@ func NewLocalBackend(ctx context.Context, cfg Config) (*LocalBackend, RefreshSta
 	if err != nil {
 		return nil, rs, err
 	}
-	lb := &LocalBackend{
-		cfg:    cfg,
-		ix:     ix,
-		cache:  newResultCache(cfg.CacheEntries),
-		flight: newFlightGroup(),
-	}
+	lb := &LocalBackend{cfg: cfg, ix: ix}
 	rs.Generation = lb.generation()
 	return lb, rs, nil
 }
@@ -62,38 +55,13 @@ func (lb *LocalBackend) generation() uint64 {
 	return lb.ix.Manifest().Fingerprint()
 }
 
-// State answers one spec as serialized analyzer state, through the
-// shard-local envelope cache and singleflight group.
+// State runs the planned (or cold, for per-event filters) query into
+// fresh analyzers and snapshots them into an envelope.
 func (lb *LocalBackend) State(ctx context.Context, spec QuerySpec) (*StateEnvelope, error) {
 	named, err := stateAnalyzers(spec)
 	if err != nil {
 		return nil, err
 	}
-	key := "state|" + spec.CacheKey()
-	if v, ok := lb.cache.get(key); ok {
-		return v.(*StateEnvelope), nil
-	}
-	v, _, err := flightCompute(ctx, lb.flight, key, func(ctx context.Context) (any, error) {
-		// Read the clear-generation before computing: a refresh
-		// mid-compute means this envelope may be stale, so it is
-		// returned to this caller but never cached.
-		gen := lb.cache.generation()
-		env, err := lb.computeState(ctx, spec, named)
-		if err != nil {
-			return nil, err
-		}
-		lb.cache.put(key, env, gen)
-		return env, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*StateEnvelope), nil
-}
-
-// computeState runs the planned (or cold, for per-event filters) query
-// into fresh analyzers and snapshots them into an envelope.
-func (lb *LocalBackend) computeState(ctx context.Context, spec QuerySpec, named []evstore.NamedAnalyzer) (*StateEnvelope, error) {
 	start := time.Now()
 	env := &StateEnvelope{Backend: lb.Name()}
 	if len(spec.PeerAS) > 0 || spec.PrefixRange.IsValid() {
@@ -149,8 +117,8 @@ func mapEmptyStore(err error) error {
 	return err
 }
 
-// Refresh incrementally snapshots newly sealed partitions and drops
-// the envelope cache when the store changed.
+// Refresh incrementally snapshots newly sealed partitions and reports
+// whether the store changed.
 func (lb *LocalBackend) Refresh(ctx context.Context) (RefreshStats, error) {
 	before := lb.generation()
 	bs, err := lb.ix.Refresh(ctx)
@@ -160,9 +128,6 @@ func (lb *LocalBackend) Refresh(ctx context.Context) (RefreshStats, error) {
 	}
 	rs.Generation = lb.generation()
 	rs.Changed = rs.Generation != before || bs.Built > 0
-	if rs.Changed {
-		lb.cache.clear()
-	}
 	return rs, nil
 }
 

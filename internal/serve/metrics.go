@@ -128,16 +128,16 @@ func (m *Metrics) bind(s *Server) {
 		"Store refreshes that changed answers (cache drops).",
 		func() uint64 { return s.refreshes.Load() })
 	m.reg.CounterFunc("comm_serve_cache_hits_total",
-		"Answer cache hits.",
+		"Result cache hits (answers and state envelopes).",
 		func() uint64 { return s.cache.stats().Hits })
 	m.reg.CounterFunc("comm_serve_cache_misses_total",
-		"Answer cache misses.",
+		"Result cache misses (answers and state envelopes).",
 		func() uint64 { return s.cache.stats().Misses })
 	m.reg.CounterFunc("comm_serve_cache_evictions_total",
-		"Answer cache LRU evictions.",
+		"Result cache LRU evictions.",
 		func() uint64 { return s.cache.stats().Evictions })
 	m.reg.GaugeFunc("comm_serve_cache_entries",
-		"Answers currently cached.",
+		"Answers and state envelopes currently cached.",
 		func() float64 { return float64(s.cache.stats().Entries) })
 	m.reg.GaugeFunc("comm_serve_uptime_seconds",
 		"Seconds since the server started.",

@@ -15,8 +15,8 @@ import (
 // RemoteBackend speaks the shard protocol to a commservd -shard
 // daemon: POST /v1/state with a binary QuerySpec, binary StateEnvelope
 // back; GET /healthz for liveness and generation drift. It holds no
-// cache of its own — the shard caches envelopes, the coordinator's
-// Server caches shaped answers.
+// cache of its own — the shard's Server caches envelopes, the
+// coordinator's Server caches shaped answers.
 type RemoteBackend struct {
 	base   string
 	client *http.Client

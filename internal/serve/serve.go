@@ -3,18 +3,21 @@
 // and §7 inferences as windowed queries, merging precomputed
 // per-partition analyzer snapshots instead of rescanning the store.
 //
-// The serving stack is two-tier. A Backend engine answers "merged
-// analyzer STATE for this spec" (backend.go): LocalBackend executes
-// the residual-scan planner over one store directory, RemoteBackend
-// proxies to a shard daemon's /v1/state endpoint, and Coordinator
-// fans out to N shards and merges their states under the Analyzer
-// Merge laws — each collector's whole timeline lives on one shard
-// (consistent hashing, the ScanShards invariant), so the merge is
-// bit-identical to a single-node answer over the union store. The
-// Server frontend is engine-agnostic: it shapes state into the JSON
-// Answer envelope, keeps the generation-guarded LRU answer cache and
-// singleflight group, and serves the same /v1 HTTP API whichever
-// engine sits below. Single-node (LocalBackend) remains the default.
+// A Backend engine answers "merged analyzer STATE for this spec"
+// (backend.go): LocalBackend executes the residual-scan planner over
+// one store directory, RemoteBackend proxies to a shard daemon's
+// /v1/state endpoint, and Coordinator fans out to N shards and merges
+// their states under the Analyzer Merge laws — each collector's whole
+// timeline lives on one shard (consistent hashing, the ScanShards
+// invariant), so the merge is bit-identical to a single-node answer
+// over the union store. Engines cache nothing. The Server frontend is
+// engine-agnostic: it shapes state into the JSON Answer envelope and
+// serves the same /v1 HTTP API whichever engine sits below. It owns
+// the process's one cache tier: a generation-guarded LRU plus
+// singleflight group holding shaped answers (GET /v1/...) and state
+// envelopes (POST /v1/state, what a shard daemon serves its
+// coordinator) under disjoint keys. Single-node (LocalBackend) remains
+// the default.
 //
 // Query semantics are the live-collector convention: classification
 // state is warm from each collector's full stored timeline, and the
@@ -27,6 +30,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/netip"
@@ -157,7 +161,8 @@ type Config struct {
 	Dir string
 	// Workers bounds per-query scan parallelism (0 = GOMAXPROCS).
 	Workers int
-	// CacheEntries sizes the LRU (0 = 256).
+	// CacheEntries sizes the Server's one LRU, shared by answers and
+	// state envelopes (0 = 256).
 	CacheEntries int
 	// Registry is the snapshot-indexed analyzer set (nil = DefaultRegistry).
 	Registry []evstore.NamedAnalyzer
@@ -193,8 +198,9 @@ func sessionMixKey(collector string, prefix netip.Prefix) string {
 	return fmt.Sprintf("sessionmix:%s:%s", collector, prefix)
 }
 
-// Server shapes Backend state into served answers. Safe for concurrent
-// use; Refresh may run concurrently with queries.
+// Server shapes Backend state into served answers and caches both the
+// answers and the state envelopes it serves. Safe for concurrent use;
+// Refresh may run concurrently with queries.
 type Server struct {
 	cfg     Config
 	engine  Backend
@@ -204,9 +210,9 @@ type Server struct {
 	logger  *slog.Logger
 
 	// lastGen is the last engine generation observed in an envelope; a
-	// drift detected mid-answer (a shard refreshed underneath a
-	// coordinator) clears the answer cache, so stale merged answers
-	// cannot outlive the observation that the store moved.
+	// drift detected mid-compute (a shard refreshed underneath a
+	// coordinator) clears the cache, so stale merged values cannot
+	// outlive the observation that the store moved.
 	lastGen atomic.Uint64
 
 	started   time.Time
@@ -253,20 +259,13 @@ func New(ctx context.Context, cfg Config) (*Server, RefreshStats, error) {
 func (s *Server) Backend() Backend { return s.engine }
 
 // Refresh re-checks the engine's store(s) for newly sealed partitions
-// and drops the answer cache when answers may have changed.
+// and drops the cache when answers may have changed.
 func (s *Server) Refresh(ctx context.Context) (RefreshStats, error) {
 	rs, err := s.engine.Refresh(ctx)
-	if err != nil {
-		return rs, err
+	if err == nil {
+		s.invalidate(rs)
 	}
-	if rs.Changed {
-		s.cache.clear()
-		if rs.Generation != 0 {
-			s.lastGen.Store(rs.Generation)
-		}
-	}
-	s.refreshes.Add(1)
-	return rs, nil
+	return rs, err
 }
 
 // Watch follows the engine's store(s) and refreshes whenever live
@@ -275,17 +274,27 @@ func (s *Server) Refresh(ctx context.Context) (RefreshStats, error) {
 // (optional) observes each refresh.
 func (s *Server) Watch(ctx context.Context, interval time.Duration, onRefresh func(RefreshStats, error)) error {
 	return s.engine.Watch(ctx, interval, func(rs RefreshStats, err error) {
-		if err == nil && rs.Changed {
-			s.cache.clear()
-			if rs.Generation != 0 {
-				s.lastGen.Store(rs.Generation)
-			}
-			s.refreshes.Add(1)
+		if err == nil {
+			s.invalidate(rs)
 		}
 		if onRefresh != nil {
 			onRefresh(rs, err)
 		}
 	})
+}
+
+// invalidate applies one successful engine refresh: when answers may
+// have changed it drops the cache, records the new generation, and
+// counts the refresh. A refresh that changed nothing is not counted.
+func (s *Server) invalidate(rs RefreshStats) {
+	if !rs.Changed {
+		return
+	}
+	s.cache.clear()
+	if rs.Generation != 0 {
+		s.lastGen.Store(rs.Generation)
+	}
+	s.refreshes.Add(1)
 }
 
 // Answer serves one query through the cache and singleflight group.
@@ -304,40 +313,67 @@ func (s *Server) Answer(ctx context.Context, spec QuerySpec) (*Answer, error) {
 
 func (s *Server) answer(ctx context.Context, spec QuerySpec) (*Answer, error) {
 	s.queries.Add(1)
-	key := spec.CacheKey()
-	if v, ok := s.cache.get(key); ok {
-		hit := *(v.(*Answer))
-		hit.Source = "cache"
-		return &hit, nil
-	}
-	computeCached := func(ctx context.Context) (any, error) {
-		// The clear-generation is read before computing: if the store
-		// is refreshed mid-compute, the (possibly stale) answer is
-		// returned to this caller but never cached.
-		gen := s.cache.generation()
+	v, hit, err := s.cached(ctx, spec.CacheKey(), func(ctx context.Context) (any, uint64, bool, error) {
 		ans, err := s.compute(ctx, spec)
 		if err != nil {
-			return nil, err
+			return nil, 0, false, err
 		}
-		s.observeGeneration(ans)
 		if s.metrics != nil {
 			// Leader-only: followers and cache hits share this compute's
 			// scan work, so the counters track work actually done.
 			s.metrics.observeCompute(ans)
 		}
-		if !ans.Partial {
-			s.cache.put(key, ans, gen)
-		}
-		return ans, nil
-	}
-	v, shared, err := flightCompute(ctx, s.flight, key, computeCached)
-	if shared {
-		s.deduped.Add(1)
-	}
+		return ans, ans.generation, ans.Partial, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*Answer), nil
+	ans := v.(*Answer)
+	if hit {
+		cp := *ans
+		cp.Source = "cache"
+		return &cp, nil
+	}
+	return ans, nil
+}
+
+// cached is the one cache path for both value kinds: an LRU hit, else
+// one singleflight compute shared by every concurrent caller of key.
+// compute returns the value, the engine generation it was computed at,
+// and whether it is partial. The value is cached unless it is partial
+// or the cache was cleared while it was computed (a refresh, or the
+// generation drift this very value revealed): such a value is returned
+// to its callers but never pinned into the cache.
+func (s *Server) cached(ctx context.Context, key string, compute func(context.Context) (any, uint64, bool, error)) (val any, hit bool, err error) {
+	if v, ok := s.cache.get(key); ok {
+		return v, true, nil
+	}
+	run := func() (any, error) {
+		// The clear-generation is read before computing, so a clear
+		// mid-compute drops this put.
+		cg := s.cache.generation()
+		v, gen, partial, err := compute(ctx)
+		if err != nil {
+			return nil, err
+		}
+		s.observeGeneration(gen)
+		if !partial {
+			s.cache.put(key, v, cg)
+		}
+		return v, nil
+	}
+	val, shared, err := s.flight.do(key, run)
+	if shared {
+		s.deduped.Add(1)
+		// A shared compute ran under the LEADER's request context: if
+		// the leader's client vanished mid-scan, that cancellation is
+		// not this caller's, so recompute under its own context.
+		if err != nil && ctx.Err() == nil &&
+			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			val, err = run()
+		}
+	}
+	return val, false, err
 }
 
 // Ready reports whether the daemon should accept query traffic, and if
@@ -370,20 +406,18 @@ func (s *Server) Ready(ctx context.Context) (bool, string) {
 	return true, ""
 }
 
-// observeGeneration notes the engine generation an answer was computed
+// observeGeneration notes the engine generation a value was computed
 // at. A change relative to the last observation means the store moved
 // without a Refresh/Watch having run here first (a shard refreshed
-// between coordinator watch ticks), so previously cached answers may
-// be stale: drop them all. The answer itself was computed at the NEW
-// generation and is cached normally by the caller (put runs after
-// clear bumps the guard only if this goroutine read the generation
-// after the clear — the existing put-guard semantics).
-func (s *Server) observeGeneration(ans *Answer) {
-	if ans.generation == 0 {
+// between coordinator watch ticks), so previously cached values may be
+// stale: drop them all. The clear also drops the put of the value that
+// revealed the drift; the next compute of its key caches normally.
+func (s *Server) observeGeneration(gen uint64) {
+	if gen == 0 {
 		return
 	}
-	prev := s.lastGen.Swap(ans.generation)
-	if prev != 0 && prev != ans.generation {
+	prev := s.lastGen.Swap(gen)
+	if prev != 0 && prev != gen {
 		s.cache.clear()
 	}
 }

@@ -1,8 +1,10 @@
 package serve_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -345,6 +347,160 @@ func TestServeCacheAndSingleflight(t *testing.T) {
 	}
 }
 
+// blockingBackend is a fake engine whose State blocks until released
+// or until its caller's context ends.
+type blockingBackend struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingBackend) Name() string { return "blocking" }
+
+func (b *blockingBackend) State(ctx context.Context, spec serve.QuerySpec) (*serve.StateEnvelope, error) {
+	b.entered <- struct{}{}
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-b.release:
+	}
+	return &serve.StateEnvelope{Backend: b.Name(), Generation: 1, Source: "snapshots",
+		Keys: []string{"counts"}, States: [][]byte{analysis.NewCounts().Snapshot(nil)}}, nil
+}
+
+func (b *blockingBackend) Refresh(context.Context) (serve.RefreshStats, error) {
+	return serve.RefreshStats{Generation: 1}, nil
+}
+
+func (b *blockingBackend) Watch(ctx context.Context, _ time.Duration, _ func(serve.RefreshStats, error)) error {
+	<-ctx.Done()
+	return ctx.Err()
+}
+
+func (b *blockingBackend) Health(context.Context) (serve.BackendHealth, error) {
+	return serve.BackendHealth{Backend: b.Name(), OK: true, Generation: 1}, nil
+}
+
+// TestServeFollowerSurvivesLeaderCancel: a caller that joined another
+// caller's in-flight compute does not inherit that leader's
+// cancellation; it recomputes under its own context.
+func TestServeFollowerSurvivesLeaderCancel(t *testing.T) {
+	b := &blockingBackend{entered: make(chan struct{}, 2), release: make(chan struct{})}
+	s, _, err := serve.New(context.Background(), serve.Config{Backend: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := serve.QuerySpec{Kind: serve.KindTable2}
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leader := make(chan error, 1)
+	go func() {
+		_, err := s.Answer(leaderCtx, spec)
+		leader <- err
+	}()
+	<-b.entered
+	follower := make(chan error, 1)
+	go func() {
+		_, err := s.Answer(context.Background(), spec)
+		follower <- err
+	}()
+	// Let the follower miss the cache and join the leader's flight.
+	for s.Stats(context.Background()).Cache.Misses < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+
+	cancelLeader()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader error %v, want context.Canceled", err)
+	}
+	select {
+	case <-b.entered: // the follower's own recompute
+	case err := <-follower:
+		t.Fatalf("follower inherited the leader's cancellation: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower never recomputed")
+	}
+	close(b.release)
+	if err := <-follower; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServeRefreshCountsOnlyChanges: a refresh that finds nothing new
+// neither counts as a refresh nor drops the cache; one that finds a
+// sealed day does both.
+func TestServeRefreshCountsOnlyChanges(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Collectors = 1
+	_, sources := workload.DaySources(cfg)
+	dir := buildStore(t, stream.Concat(sources...))
+	ctx := context.Background()
+	s, _, err := serve.New(ctx, serve.Config{Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := serve.QuerySpec{Kind: serve.KindTable2}
+	if _, err := s.Answer(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if rs, err := s.Refresh(ctx); err != nil || rs.Changed {
+			t.Fatalf("refresh of an unchanged store: changed=%v err=%v", rs.Changed, err)
+		}
+	}
+	if got := s.Stats(ctx).Refreshes; got != 0 {
+		t.Fatalf("no-op refreshes counted: Refreshes = %d, want 0", got)
+	}
+	if a, err := s.Answer(ctx, spec); err != nil || a.Source != "cache" {
+		t.Fatalf("no-op refresh dropped the cache: source %q, err %v", a.Source, err)
+	}
+
+	day2 := cfg
+	day2.Day = cfg.Day.Add(24 * time.Hour)
+	_, sources2 := workload.DaySources(day2)
+	appendEvents(t, dir, stream.Concat(sources2...), nil, 0)
+	if rs, err := s.Refresh(ctx); err != nil || !rs.Changed {
+		t.Fatalf("refresh after ingest: changed=%v err=%v", rs.Changed, err)
+	}
+	if got := s.Stats(ctx).Refreshes; got != 1 {
+		t.Fatalf("Refreshes = %d after one changing refresh, want 1", got)
+	}
+	if a, err := s.Answer(ctx, spec); err != nil || a.Source == "cache" {
+		t.Fatalf("changing refresh kept the cache: source %q, err %v", a.Source, err)
+	}
+}
+
+// TestStateHandlerCachesEnvelopes: a shard daemon's POST /v1/state goes
+// through the Server's cache, so a repeat spec is a counted hit that
+// returns the very same envelope bytes.
+func TestStateHandlerCachesEnvelopes(t *testing.T) {
+	_, sources := workload.DaySources(smallCfg())
+	dir := buildStore(t, stream.Concat(sources...))
+	s, _, err := serve.New(context.Background(), serve.Config{Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.StateHandler())
+	defer ts.Close()
+
+	spec := serve.QuerySpec{Kind: serve.KindTable1,
+		Window: evstore.TimeRange{From: testDay.Add(2 * time.Hour), To: testDay.Add(20 * time.Hour)}}
+	first := postState(t, ts.URL, spec)
+	second := postState(t, ts.URL, spec)
+	if !bytes.Equal(first, second) {
+		t.Fatal("repeat /v1/state envelope differs from the first")
+	}
+	if st := s.Stats(context.Background()).Cache; st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("cache after two identical state calls: %+v, want 1 hit, 1 miss, 1 entry", st)
+	}
+	env, err := serve.DecodeStateEnvelope(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.Partial() || len(env.States) != 1 {
+		t.Fatalf("envelope partial=%v with %d states", env.Partial(), len(env.States))
+	}
+}
+
 // TestServeHTTP drives the JSON API end to end.
 func TestServeHTTP(t *testing.T) {
 	_, sources := workload.DaySources(smallCfg())
@@ -523,15 +679,28 @@ func TestServeWatchRefreshesOnIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	refreshed := make(chan struct{}, 4)
+	refreshed := make(chan struct{}, 1)
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go s.Watch(ctx, 10*time.Millisecond, func(bs serve.RefreshStats, err error) {
-		if err != nil {
-			t.Error(err)
-		}
-		refreshed <- struct{}{}
-	})
+	watching := make(chan struct{})
+	go func() {
+		defer close(watching)
+		s.Watch(ctx, 10*time.Millisecond, func(bs serve.RefreshStats, err error) {
+			// A refresh cut short by the cancel below is teardown,
+			// not a failure.
+			if err != nil && ctx.Err() == nil {
+				t.Error(err)
+			}
+			select {
+			case refreshed <- struct{}{}:
+			default:
+			}
+		})
+	}()
+	// Stop the watcher before the store's TempDir is removed under it.
+	defer func() {
+		cancel()
+		<-watching
+	}()
 
 	day2 := cfg
 	day2.Day = cfg.Day.Add(24 * time.Hour)
