@@ -43,34 +43,52 @@ func TestMain(m *testing.M) {
 
 var benchDay = time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
 
+// benchSet is a generated benchmark day materialized globally
+// time-ordered (the stable stream.Merge of its per-session sources), so
+// the analysis benchmarks time the analysis, not the generator.
+type benchSet struct {
+	events   []classify.Event
+	peers    []workload.Peer
+	sessions []stream.EventSource // the lazy per-session generators
+	inWindow func(classify.Event) bool
+}
+
+func newBenchSet(peers []workload.Peer, sessions []stream.EventSource, inWindow func(classify.Event) bool) *benchSet {
+	return &benchSet{events: stream.Collect(stream.Merge(sessions...)), peers: peers, sessions: sessions, inWindow: inWindow}
+}
+
+func (s *benchSet) source() stream.EventSource { return stream.FromSlice(s.events) }
+
 // Shared datasets, generated once.
 var (
 	dayOnce sync.Once
-	dayDS   *workload.Dataset
+	dayDS   *benchSet
 
 	beaconOnce sync.Once
-	beaconDS   *workload.Dataset
+	beaconDS   *benchSet
 	beaconCfg  workload.BeaconConfig
 )
 
-func benchDayDataset() *workload.Dataset {
+func benchDayDataset() *benchSet {
 	dayOnce.Do(func() {
 		cfg := workload.DefaultDayConfig(benchDay)
 		cfg.Collectors = 4
 		cfg.PeersPerCollector = 10
 		cfg.PrefixesV4 = 250
 		cfg.PrefixesV6 = 25
-		dayDS = workload.GenerateDay(cfg)
+		peers, sessions := workload.DaySources(cfg)
+		dayDS = newBenchSet(peers, sessions, cfg.InWindow)
 	})
 	return dayDS
 }
 
-func benchBeaconDataset() (*workload.Dataset, workload.BeaconConfig) {
+func benchBeaconDataset() (*benchSet, workload.BeaconConfig) {
 	beaconOnce.Do(func() {
 		beaconCfg = workload.DefaultBeaconConfig(benchDay)
 		beaconCfg.Collectors = 4
 		beaconCfg.PeersPerCollector = 10
-		beaconDS = workload.GenerateBeacon(beaconCfg)
+		peers, sessions := workload.BeaconSources(beaconCfg)
+		beaconDS = newBenchSet(peers, sessions, beaconCfg.InWindow)
 	})
 	return beaconDS, beaconCfg
 }
@@ -116,12 +134,12 @@ func BenchmarkTable1(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t1 := analysis.ComputeTable1(ds)
+		t1 := analysis.ComputeTable1Stream(ds.source(), ds.inWindow)
 		if t1.Announcements == 0 {
 			b.Fatal("empty table")
 		}
 	}
-	b.ReportMetric(float64(len(ds.Events)), "events")
+	b.ReportMetric(float64(len(ds.events)), "events")
 }
 
 // BenchmarkTable2 classifies the full day into the six announcement types.
@@ -131,7 +149,7 @@ func BenchmarkTable2(b *testing.B) {
 	b.ReportAllocs()
 	var counts classify.Counts
 	for i := 0; i < b.N; i++ {
-		counts = analysis.ClassifyDataset(ds)
+		counts = stream.Classify(ds.source(), ds.inWindow)
 	}
 	for _, ty := range classify.Types() {
 		b.ReportMetric(100*counts.Share(ty), ty.String()+"_pct")
@@ -146,7 +164,7 @@ func BenchmarkTable2BeaconColumn(b *testing.B) {
 	b.ReportAllocs()
 	var counts classify.Counts
 	for i := 0; i < b.N; i++ {
-		counts = analysis.ClassifyDataset(ds)
+		counts = stream.Classify(ds.source(), ds.inWindow)
 	}
 	b.ReportMetric(100*counts.Share(classify.PC), "pc_pct")
 }
@@ -202,7 +220,7 @@ func BenchmarkFigure3(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		mixes := analysis.Figure3PerSession(ds, "rrc00", prefix)
+		mixes := analysis.Figure3PerSessionStream(ds.source(), ds.inWindow, "rrc00", prefix)
 		if len(mixes) == 0 {
 			b.Fatal("no sessions")
 		}
@@ -214,9 +232,9 @@ func BenchmarkFigure3(b *testing.B) {
 func figureSessionPath(b *testing.B, kind workload.PeerKind) (classify.SessionKey, string) {
 	ds, cfg := benchBeaconDataset()
 	var peer *workload.Peer
-	for i := range ds.Peers {
-		if ds.Peers[i].Kind == kind && ds.Peers[i].TaggedUpstream {
-			peer = &ds.Peers[i]
+	for i := range ds.peers {
+		if ds.peers[i].Kind == kind && ds.peers[i].TaggedUpstream {
+			peer = &ds.peers[i]
 			break
 		}
 	}
@@ -225,7 +243,7 @@ func figureSessionPath(b *testing.B, kind workload.PeerKind) (classify.SessionKe
 	}
 	session := classify.SessionKey{Collector: peer.Collector, PeerAddr: peer.Addr}
 	prefix := beacon.RIPEBeacons()[0].Prefix
-	for _, e := range ds.Events {
+	for _, e := range ds.events {
 		if e.Session() == session && e.Prefix == prefix && !e.Withdraw &&
 			cfg.Schedule.PhaseAt(e.Time) == beacon.PhaseWithdrawal {
 			return session, e.ASPath.String()
@@ -244,7 +262,7 @@ func BenchmarkFigure4(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		series := analysis.CumulativeByPath(ds, session, prefix, path)
+		series := analysis.CumulativeByPathStream(ds.source(), ds.inWindow, session, prefix, path)
 		if len(series.Points) == 0 {
 			b.Fatal("empty series")
 		}
@@ -259,7 +277,7 @@ func BenchmarkFigure5(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		series := analysis.CumulativeByPath(ds, session, prefix, path)
+		series := analysis.CumulativeByPathStream(ds.source(), ds.inWindow, session, prefix, path)
 		if len(series.Points) == 0 {
 			b.Fatal("empty series")
 		}
@@ -273,7 +291,7 @@ func BenchmarkFigure6(b *testing.B) {
 	b.ReportAllocs()
 	var s beacon.RevealedSummary
 	for i := 0; i < b.N; i++ {
-		s = analysis.RevealedForDataset(ds, cfg.Schedule)
+		s = analysis.RevealedForStream(ds.source(), ds.inWindow, cfg.Schedule)
 	}
 	b.ReportMetric(100*s.WithdrawalRatio, "withdrawal_pct")
 }
@@ -352,18 +370,19 @@ func BenchmarkMRTWriteRead(b *testing.B) {
 // BenchmarkClassifier measures streaming classification throughput.
 func BenchmarkClassifier(b *testing.B) {
 	ds := benchDayDataset()
-	b.SetBytes(int64(len(ds.Events)))
+	b.SetBytes(int64(len(ds.events)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cl := classify.New()
-		for _, e := range ds.Events {
+		for _, e := range ds.events {
 			cl.Observe(e)
 		}
 	}
-	b.ReportMetric(float64(len(ds.Events)), "events/op")
+	b.ReportMetric(float64(len(ds.events)), "events/op")
 }
 
-// BenchmarkGenerateDay measures workload synthesis itself.
+// BenchmarkGenerateDay measures workload synthesis itself: every session
+// generated and merged into one globally time-ordered day.
 func BenchmarkGenerateDay(b *testing.B) {
 	cfg := workload.DefaultDayConfig(benchDay)
 	cfg.Collectors = 2
@@ -372,8 +391,8 @@ func BenchmarkGenerateDay(b *testing.B) {
 	cfg.PrefixesV6 = 10
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ds := workload.GenerateDay(cfg)
-		if len(ds.Events) == 0 {
+		_, sessions := workload.DaySources(cfg)
+		if events := stream.Collect(stream.Merge(sessions...)); len(events) == 0 {
 			b.Fatal("empty dataset")
 		}
 	}
@@ -614,10 +633,10 @@ func benchStoreFixture(b *testing.B) (storeDir, mrtDir string) {
 		if mrtFixtureDir, storeFixtureErr = os.MkdirTemp("", "repro-bench-mrt-"); storeFixtureErr != nil {
 			return
 		}
-		if _, storeFixtureErr = collector.WriteDatasetDir(ds, mrtFixtureDir); storeFixtureErr != nil {
+		if _, storeFixtureErr = collector.WriteSourcesDir(ds.peers, ds.sessions, mrtFixtureDir); storeFixtureErr != nil {
 			return
 		}
-		_, storeFixtureErr = evstore.Ingest(storeFixtureDir, ds.Source())
+		_, storeFixtureErr = evstore.Ingest(storeFixtureDir, ds.source())
 	})
 	if storeFixtureErr != nil {
 		b.Fatal(storeFixtureErr)
@@ -639,7 +658,7 @@ func BenchmarkStoreIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		st, err = evstore.Ingest(dir, ds.Source())
+		st, err = evstore.Ingest(dir, ds.source())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -716,7 +735,7 @@ func lzCorpus(b *testing.B) []byte {
 		b.Fatal(err)
 	}
 	w.Codec = evstore.CodecRaw
-	if err := w.Ingest(benchDayDataset().Source()); err != nil {
+	if err := w.Ingest(benchDayDataset().source()); err != nil {
 		b.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -858,10 +877,10 @@ func BenchmarkScanParallel(b *testing.B) {
 // analyzers in one pass, and the same five as five separate passes.
 func BenchmarkRunAll(b *testing.B) {
 	ds := benchDayDataset()
-	prefix := ds.Events[0].Prefix
-	collector := ds.Events[0].Collector
-	session := ds.Events[0].Session()
-	path := ds.Events[0].ASPath.String()
+	prefix := ds.events[0].Prefix
+	collector := ds.events[0].Collector
+	session := ds.events[0].Session()
+	path := ds.events[0].ASPath.String()
 	fleet := func() []analysis.Analyzer {
 		return []analysis.Analyzer{
 			analysis.NewCounts(),
@@ -875,7 +894,7 @@ func BenchmarkRunAll(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			counts := analysis.NewCounts()
-			analysis.RunAll(ds.Source(), ds.CountingWindow, counts)
+			analysis.RunAll(ds.source(), ds.inWindow, counts)
 			if counts.Counts.Announcements() == 0 {
 				b.Fatal("empty")
 			}
@@ -885,7 +904,7 @@ func BenchmarkRunAll(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			analyzers := fleet()
-			analysis.RunAll(ds.Source(), ds.CountingWindow, analyzers...)
+			analysis.RunAll(ds.source(), ds.inWindow, analyzers...)
 			if analyzers[0].(*classify.CountsAnalyzer).Counts.Announcements() == 0 {
 				b.Fatal("empty")
 			}
@@ -895,25 +914,10 @@ func BenchmarkRunAll(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, a := range fleet() {
-				analysis.RunAll(ds.Source(), ds.CountingWindow, a)
+				analysis.RunAll(ds.source(), ds.inWindow, a)
 			}
 		}
 	})
-}
-
-// BenchmarkTable2Parallel classifies the day fanned out per collector via
-// stream.ParallelClassify: events are routed to per-collector workers in
-// batches, with no up-front grouping copy of the dataset.
-func BenchmarkTable2Parallel(b *testing.B) {
-	ds := benchDayDataset()
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		counts := analysis.ClassifyDatasetParallel(ds)
-		if counts.Announcements() == 0 {
-			b.Fatal("empty")
-		}
-	}
 }
 
 // --- Streaming pipeline (stream.EventSource) --------------------------------
@@ -923,7 +927,7 @@ func BenchmarkTable2Parallel(b *testing.B) {
 func BenchmarkMergeStream(b *testing.B) {
 	ds := benchDayDataset()
 	byCollector := make(map[string][]classify.Event)
-	for _, e := range ds.Events {
+	for _, e := range ds.events {
 		byCollector[e.Collector] = append(byCollector[e.Collector], e)
 	}
 	sources := make([]stream.EventSource, 0, len(byCollector))
@@ -934,8 +938,8 @@ func BenchmarkMergeStream(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		n := stream.Count(stream.Merge(sources...))
-		if n != len(ds.Events) {
-			b.Fatalf("merged %d of %d", n, len(ds.Events))
+		if n != len(ds.events) {
+			b.Fatalf("merged %d of %d", n, len(ds.events))
 		}
 	}
 }

@@ -35,8 +35,8 @@ func main() {
 		cfg.PeersPerCollector = *sessions
 	}
 	// This tool scans the same day several times (Table 2, Figures 3-6),
-	// so generate once — session-ordered, skipping the global sort a full
-	// Dataset would pay — and replay the materialized slice per analysis.
+	// so generate once — session-ordered, skipping a global stream.Merge
+	// none of them needs — and replay the materialized slice per analysis.
 	peers, sources := workload.BeaconSources(cfg)
 	src := stream.FromSlice(stream.Collect(stream.Concat(sources...)))
 	counts := stream.Classify(src, cfg.InWindow)

@@ -9,8 +9,8 @@
 // mergeable-analyzer engine behind every table and figure: each analysis
 // is an accumulator (Observe/Merge/Finish/Fresh plus Snapshot/Restore
 // codecs), so N questions run in one classification pass
-// (analysis.RunAll), shard-parallel over collectors (stream.ParallelRun,
-// evstore.ScanParallel), or incrementally from persisted per-partition
+// (analysis.RunAll), shard-parallel over a store's collectors
+// (evstore.ScanParallel), or incrementally from persisted per-partition
 // snapshot sidecars — the serving layer (internal/serve, cmd/commservd)
 // keeps those snapshots warm as live ingest seals partitions and answers
 // windowed HTTP queries by merging precomputed states, scanning only the

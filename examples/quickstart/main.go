@@ -23,14 +23,15 @@ import (
 func main() {
 	day := time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
 
-	// 1. Synthesize a scaled-down March-15-2020 update stream.
+	// 1. Synthesize a scaled-down March-15-2020 update stream: one lazy,
+	// replayable event source per peer session.
 	cfg := workload.DefaultDayConfig(day)
 	cfg.Collectors = 3
 	cfg.PeersPerCollector = 8
 	cfg.PrefixesV4 = 200
 	cfg.PrefixesV6 = 20
-	ds := workload.GenerateDay(cfg)
-	fmt.Printf("generated %d events from %d peer sessions\n", len(ds.Events), len(ds.Peers))
+	peers, sessions := workload.DaySources(cfg)
+	fmt.Printf("generated %d events from %d peer sessions\n", stream.Count(stream.Concat(sessions...)), len(peers))
 
 	// 2. Write per-collector MRT archives (RFC 6396 BGP4MP_ET records).
 	dir, err := os.MkdirTemp("", "quickstart-mrt-")
@@ -38,7 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	files, err := collector.WriteDatasetDir(ds, dir)
+	files, err := collector.WriteSourcesDir(peers, sessions, dir)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func main() {
 	// Each archive becomes a lazy event source — records are decoded one
 	// at a time as the classifier pulls them, never a whole file.
 	norm := pipeline.NewNormalizer(registry.Synthetic(day.AddDate(-10, 0, 0)))
-	norm.RouteServers = ds.RouteServerASNs()
+	norm.RouteServers = workload.RouteServerASNs(peers)
 	var srcErr error
 	_, sources, err := pipeline.DirSources(norm, dir, &srcErr)
 	if err != nil {
@@ -59,7 +60,7 @@ func main() {
 	// 4. Classify per (session, prefix) stream in one streaming pass. The
 	// archives include pre-day warm-up announcements that seed per-stream
 	// state; they feed the classifier but only the measured day is counted.
-	counts := stream.Classify(stream.Concat(sources...), ds.CountingWindow)
+	counts := stream.Classify(stream.Concat(sources...), cfg.InWindow)
 	if srcErr != nil {
 		log.Fatal(srcErr)
 	}

@@ -6,18 +6,37 @@ import (
 
 	"repro/internal/beacon"
 	"repro/internal/classify"
+	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
 var day = time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
 
-func smallDay() *workload.Dataset {
+// fixture is one generated day materialized globally time-ordered (the
+// stable stream.Merge of its session sources), for tests that walk the
+// events as well as analyze them.
+type fixture struct {
+	events   []classify.Event
+	peers    []workload.Peer
+	day      time.Time
+	inWindow func(classify.Event) bool
+}
+
+func (f fixture) source() stream.EventSource { return stream.FromSlice(f.events) }
+
+func smallDay() fixture {
 	cfg := workload.DefaultDayConfig(day)
 	cfg.Collectors = 3
 	cfg.PeersPerCollector = 8
 	cfg.PrefixesV4 = 150
 	cfg.PrefixesV6 = 15
-	return workload.GenerateDay(cfg)
+	peers, sources := workload.DaySources(cfg)
+	return fixture{events: stream.Collect(stream.Merge(sources...)), peers: peers, day: cfg.Day, inWindow: cfg.InWindow}
+}
+
+func beaconDay(cfg workload.BeaconConfig) fixture {
+	peers, sources := workload.BeaconSources(cfg)
+	return fixture{events: stream.Collect(stream.Merge(sources...)), peers: peers, day: cfg.Day, inWindow: cfg.InWindow}
 }
 
 func smallBeaconCfg() workload.BeaconConfig {
@@ -29,7 +48,7 @@ func smallBeaconCfg() workload.BeaconConfig {
 
 func TestTable1Overview(t *testing.T) {
 	ds := smallDay()
-	t1 := ComputeTable1(ds)
+	t1 := ComputeTable1Stream(ds.source(), ds.inWindow)
 	if t1.PrefixesV4 == 0 || t1.PrefixesV6 == 0 {
 		t.Errorf("prefix counts: %+v", t1)
 	}
@@ -56,10 +75,10 @@ func TestTable1Overview(t *testing.T) {
 
 func TestTable1ExcludesWarmup(t *testing.T) {
 	ds := smallDay()
-	t1 := ComputeTable1(ds)
+	t1 := ComputeTable1Stream(ds.source(), ds.inWindow)
 	total := 0
-	for _, e := range ds.Events {
-		if ds.CountingWindow(e) {
+	for _, e := range ds.events {
+		if ds.inWindow(e) {
 			total++
 		}
 	}
@@ -67,7 +86,7 @@ func TestTable1ExcludesWarmup(t *testing.T) {
 		t.Errorf("table counts %d+%d != in-window events %d",
 			t1.Announcements, t1.Withdrawals, total)
 	}
-	if total == len(ds.Events) {
+	if total == len(ds.events) {
 		t.Error("no warm-up events excluded; test is vacuous")
 	}
 }
@@ -78,9 +97,9 @@ func TestClassifyDatasetUsesWarmupState(t *testing.T) {
 	ds := smallDay()
 	cl := classify.New()
 	var first, total int
-	for _, e := range ds.Events {
+	for _, e := range ds.events {
 		res, ok := cl.Observe(e)
-		if !ds.CountingWindow(e) || !ok {
+		if !ds.inWindow(e) || !ok {
 			continue
 		}
 		total++
@@ -127,9 +146,9 @@ func TestFigure2SeriesShapes(t *testing.T) {
 
 func TestFigure3PerSession(t *testing.T) {
 	cfg := smallBeaconCfg()
-	ds := workload.GenerateBeacon(cfg)
+	ds := beaconDay(cfg)
 	prefix := beacon.RIPEBeacons()[0].Prefix
-	mixes := Figure3PerSession(ds, "rrc00", prefix)
+	mixes := Figure3PerSessionStream(ds.source(), ds.inWindow, "rrc00", prefix)
 	if len(mixes) != cfg.PeersPerCollector {
 		t.Fatalf("sessions = %d, want %d", len(mixes), cfg.PeersPerCollector)
 	}
@@ -155,7 +174,7 @@ func TestFigure3PerSession(t *testing.T) {
 		t.Errorf("only %d types across sessions", len(seen))
 	}
 	// Filtering by another collector yields a disjoint session set.
-	other := Figure3PerSession(ds, "rrc01", prefix)
+	other := Figure3PerSessionStream(ds.source(), ds.inWindow, "rrc01", prefix)
 	for _, m := range other {
 		if m.Session.Collector != "rrc01" {
 			t.Error("collector filter leaked")
@@ -166,13 +185,13 @@ func TestFigure3PerSession(t *testing.T) {
 // findStream locates a (session, beacon prefix, backup path) triple for a
 // peer with the wanted kind and tagging, returning the session, the backup
 // path string, and the dataset.
-func findStream(t *testing.T, ds *workload.Dataset, kind workload.PeerKind, tagged bool) (classify.SessionKey, string) {
+func findStream(t *testing.T, ds fixture, kind workload.PeerKind, tagged bool) (classify.SessionKey, string) {
 	t.Helper()
 	var peer *workload.Peer
-	for i := range ds.Peers {
-		p := ds.Peers[i]
+	for i := range ds.peers {
+		p := ds.peers[i]
 		if p.Kind == kind && p.TaggedUpstream == tagged {
-			peer = &ds.Peers[i]
+			peer = &ds.peers[i]
 			break
 		}
 	}
@@ -183,8 +202,8 @@ func findStream(t *testing.T, ds *workload.Dataset, kind workload.PeerKind, tagg
 	prefix := beacon.RIPEBeacons()[0].Prefix
 	// The backup path is the one announced during withdrawal phases (4 hops
 	// in the generator vs 4-hop primary; distinguish by phase).
-	sched := workload.DefaultBeaconConfig(ds.Day).Schedule
-	for _, e := range ds.Events {
+	sched := workload.DefaultBeaconConfig(ds.day).Schedule
+	for _, e := range ds.events {
 		if e.Session() != session || e.Prefix != prefix || e.Withdraw {
 			continue
 		}
@@ -200,10 +219,10 @@ func TestFigure4CommunityExploration(t *testing.T) {
 	// A geo-tagged, non-cleaning session: announcements on the backup path
 	// appear only during withdrawal phases, starting with pc followed by
 	// nc's (community exploration).
-	ds := workload.GenerateBeacon(smallBeaconCfg())
+	ds := beaconDay(smallBeaconCfg())
 	session, backup := findStream(t, ds, workload.PeerTransparent, true)
 	prefix := beacon.RIPEBeacons()[0].Prefix
-	series := CumulativeByPath(ds, session, prefix, backup)
+	series := CumulativeByPathStream(ds.source(), ds.inWindow, session, prefix, backup)
 	if len(series.Points) < 6 {
 		t.Fatalf("points = %d, want >= 6 (one per withdrawal phase)", len(series.Points))
 	}
@@ -217,7 +236,7 @@ func TestFigure4CommunityExploration(t *testing.T) {
 	if counts.Of(classify.NN) != 0 {
 		t.Errorf("nn = %d on a transparent tagged path", counts.Of(classify.NN))
 	}
-	sched := workload.DefaultBeaconConfig(ds.Day).Schedule
+	sched := workload.DefaultBeaconConfig(ds.day).Schedule
 	for _, p := range series.Points {
 		if sched.PhaseAt(p.Time) != beacon.PhaseWithdrawal {
 			t.Errorf("backup-path announcement at %v outside withdrawal phase", p.Time)
@@ -228,10 +247,10 @@ func TestFigure4CommunityExploration(t *testing.T) {
 func TestFigure5DuplicatesFromEgressCleaning(t *testing.T) {
 	// An egress-cleaning session: withdrawal phases open with pn (no
 	// communities visible) followed by nn duplicates.
-	ds := workload.GenerateBeacon(smallBeaconCfg())
+	ds := beaconDay(smallBeaconCfg())
 	session, backup := findStream(t, ds, workload.PeerCleansEgress, true)
 	prefix := beacon.RIPEBeacons()[0].Prefix
-	series := CumulativeByPath(ds, session, prefix, backup)
+	series := CumulativeByPathStream(ds.source(), ds.inWindow, session, prefix, backup)
 	counts := series.TypeCounts()
 	if counts.Of(classify.PN) != 6 {
 		t.Errorf("pn = %d, want 6", counts.Of(classify.PN))
@@ -246,8 +265,8 @@ func TestFigure5DuplicatesFromEgressCleaning(t *testing.T) {
 
 func TestFigure6Revealed(t *testing.T) {
 	cfg := workload.DefaultBeaconConfig(day)
-	ds := workload.GenerateBeacon(cfg)
-	s := RevealedForDataset(ds, cfg.Schedule)
+	ds := beaconDay(cfg)
+	s := RevealedForStream(ds.source(), ds.inWindow, cfg.Schedule)
 	if s.Total == 0 {
 		t.Fatal("no community attributes observed")
 	}
@@ -287,14 +306,14 @@ func TestBeaconSubset(t *testing.T) {
 	ds := smallDay()
 	// The day generator uses 10.0.0.0/8 and 2001:db8::/32 prefixes, none of
 	// which are beacons.
-	sub := BeaconSubset(ds)
-	if len(sub.Events) != 0 {
-		t.Errorf("day dataset should contain no beacon prefixes, got %d", len(sub.Events))
+	sub := stream.Collect(BeaconSubsetStream(ds.source()))
+	if len(sub) != 0 {
+		t.Errorf("day dataset should contain no beacon prefixes, got %d", len(sub))
 	}
-	bds := workload.GenerateBeacon(smallBeaconCfg())
-	sub = BeaconSubset(bds)
-	if len(sub.Events) != len(bds.Events) {
-		t.Errorf("beacon dataset should be fully retained: %d vs %d", len(sub.Events), len(bds.Events))
+	bds := beaconDay(smallBeaconCfg())
+	sub = stream.Collect(BeaconSubsetStream(bds.source()))
+	if len(sub) != len(bds.events) {
+		t.Errorf("beacon dataset should be fully retained: %d vs %d", len(sub), len(bds.events))
 	}
 }
 

@@ -11,12 +11,11 @@ import (
 )
 
 // Analyzer is the mergeable-accumulator interface every analysis in
-// this package implements (defined in classify so the stream and
-// evstore engines can run analyzers without importing this package).
-// Construct analyzers with the New* functions, run any number of them
-// in one classification pass with RunAll (or shard-parallel with
-// stream.ParallelRun / evstore.ScanParallel), then read each result
-// off its typed accessor.
+// this package implements (defined in classify so the evstore engine
+// can run analyzers without importing this package). Construct
+// analyzers with the New* functions, run any number of them in one
+// classification pass with RunAll (or shard-parallel over a store with
+// evstore.ScanParallel), then read each result off its typed accessor.
 type Analyzer = classify.Analyzer
 
 // RunAll answers N questions in one pass: one classifier, one

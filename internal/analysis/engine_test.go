@@ -116,9 +116,8 @@ func TestAnalyzerMergeLaws(t *testing.T) {
 	}
 }
 
-// TestWrappersMatchAnalyzers pins the compatibility wrappers to the
-// engine: each legacy *Stream function must return exactly what its
-// analyzer produces under RunAll.
+// TestWrappersMatchAnalyzers pins the *Stream wrappers to the engine:
+// each must return exactly what its analyzer produces under RunAll.
 func TestWrappersMatchAnalyzers(t *testing.T) {
 	sources, protos := mergeLawFixture(t)
 	all := func() stream.EventSource { return stream.Concat(sources...) }

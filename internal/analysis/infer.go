@@ -73,17 +73,6 @@ func InferPeerBehaviorStream(src stream.EventSource, inWindow func(classify.Even
 	return a.Inferences()
 }
 
-// InferPeerBehavior classifies every session in the dataset.
-func InferPeerBehavior(ds *workload.Dataset) []PeerInference {
-	return InferPeerBehaviorStream(ds.Source(), ds.CountingWindow)
-}
-
-// InferenceAccuracy scores inferences against the workload's ground-truth
-// peer profiles.
-func InferenceAccuracy(ds *workload.Dataset, inferences []PeerInference) float64 {
-	return InferenceAccuracyPeers(ds.Peers, inferences)
-}
-
 // InferenceAccuracyPeers scores inferences against ground-truth peer
 // profiles, mapping ground truth to the closest observable class:
 // transparent+tagged → propagates; cleans-egress+tagged → cleans-egress;
@@ -133,7 +122,21 @@ func InferIngressLocationsStream(src stream.EventSource) []IngressInference {
 	return a.Locations()
 }
 
-// InferIngressLocations is InferIngressLocationsStream over a dataset.
-func InferIngressLocations(ds *workload.Dataset) []IngressInference {
-	return InferIngressLocationsStream(ds.Source())
+// GeoBreakdown categorizes the distinct geo communities observed for one
+// (session, prefix, path) route using the 3356-style value convention the
+// generator mirrors (cities 2000–2999, countries 1000–1999, regions
+// 100–199) — the §6 observation "9 city communities, two country and two
+// geographical regions" encoded in 19 announcements.
+type GeoBreakdown struct {
+	Cities    int
+	Countries int
+	Regions   int
+	Other     int
+}
+
+// GeoBreakdownStream scans a source for the route's announcements.
+func GeoBreakdownStream(src stream.EventSource, session classify.SessionKey, prefix string, pathStr string) GeoBreakdown {
+	a := NewGeoBreakdown(session, prefix, pathStr)
+	runPlain(src, nil, a)
+	return a.Breakdown()
 }

@@ -3,23 +3,24 @@ package analysis
 import (
 	"testing"
 
+	"repro/internal/beacon"
 	"repro/internal/classify"
 	"repro/internal/workload"
 )
 
 func TestInferPeerBehaviorOnBeaconData(t *testing.T) {
-	ds := workload.GenerateBeacon(smallBeaconCfg())
-	inferences := InferPeerBehavior(ds)
+	ds := beaconDay(smallBeaconCfg())
+	inferences := InferPeerBehaviorStream(ds.source(), ds.inWindow)
 	if len(inferences) == 0 {
 		t.Fatal("no inferences")
 	}
 	// Every peer session that announced anything is covered.
-	if len(inferences) != len(ds.Peers) {
-		t.Errorf("inferences = %d, peers = %d", len(inferences), len(ds.Peers))
+	if len(inferences) != len(ds.peers) {
+		t.Errorf("inferences = %d, peers = %d", len(inferences), len(ds.peers))
 	}
 	// The beacon workload exercises the mechanisms strongly, so inference
 	// should be near-perfect.
-	acc := InferenceAccuracy(ds, inferences)
+	acc := InferenceAccuracyPeers(ds.peers, inferences)
 	if acc < 0.9 {
 		t.Errorf("accuracy = %.2f, want >= 0.9", acc)
 	}
@@ -38,8 +39,8 @@ func TestInferPeerBehaviorOnBeaconData(t *testing.T) {
 
 func TestInferPeerBehaviorOnDayData(t *testing.T) {
 	ds := smallDay()
-	inferences := InferPeerBehavior(ds)
-	acc := InferenceAccuracy(ds, inferences)
+	inferences := InferPeerBehaviorStream(ds.source(), ds.inWindow)
+	acc := InferenceAccuracyPeers(ds.peers, inferences)
 	// The wild-style day data is noisier than the beacon view; accuracy
 	// must still be well above random guessing among three classes.
 	if acc < 0.7 {
@@ -48,8 +49,8 @@ func TestInferPeerBehaviorOnDayData(t *testing.T) {
 }
 
 func TestInferPeerBehaviorEvidence(t *testing.T) {
-	ds := workload.GenerateBeacon(smallBeaconCfg())
-	for _, inf := range InferPeerBehavior(ds) {
+	ds := beaconDay(smallBeaconCfg())
+	for _, inf := range InferPeerBehaviorStream(ds.source(), ds.inWindow) {
 		switch inf.Behavior {
 		case BehaviorPropagates:
 			if inf.CommShare <= commShareThreshold {
@@ -69,22 +70,22 @@ func TestInferPeerBehaviorEvidence(t *testing.T) {
 
 func TestInferenceAccuracyEmpty(t *testing.T) {
 	ds := smallDay()
-	if InferenceAccuracy(ds, nil) != 0 {
+	if InferenceAccuracyPeers(ds.peers, nil) != 0 {
 		t.Error("empty inference accuracy should be 0")
 	}
 }
 
 func TestInferIngressLocations(t *testing.T) {
 	cfg := smallBeaconCfg()
-	ds := workload.GenerateBeacon(cfg)
-	infs := InferIngressLocations(ds)
+	ds := beaconDay(cfg)
+	infs := InferIngressLocationsStream(ds.source())
 	if len(infs) == 0 {
 		t.Fatal("no ingress inferences")
 	}
 	// Only transparent tagged peers leak locations; each leaks several
 	// (steady + exploration pools).
 	taggedTransparent := map[uint32]bool{}
-	for _, p := range ds.Peers {
+	for _, p := range ds.peers {
 		if p.TaggedUpstream && p.Kind == workload.PeerTransparent {
 			taggedTransparent[p.AS] = true
 		}
@@ -120,15 +121,42 @@ func TestBehaviorString(t *testing.T) {
 }
 
 func TestInferenceSessionsMatchClassifierSessions(t *testing.T) {
-	ds := workload.GenerateBeacon(smallBeaconCfg())
-	infs := InferPeerBehavior(ds)
+	ds := beaconDay(smallBeaconCfg())
+	infs := InferPeerBehaviorStream(ds.source(), ds.inWindow)
 	sessions := make(map[classify.SessionKey]bool)
-	for _, e := range ds.Events {
+	for _, e := range ds.events {
 		sessions[e.Session()] = true
 	}
 	for _, inf := range infs {
 		if !sessions[inf.Session] {
 			t.Errorf("inferred session %v never appeared in events", inf.Session)
 		}
+	}
+}
+
+func TestGeoBreakdownFor(t *testing.T) {
+	ds := beaconDay(smallBeaconCfg())
+	session, backup := findStream(t, ds, workload.PeerTransparent, true)
+	prefix := beacon.RIPEBeacons()[0].Prefix
+	gb := GeoBreakdownStream(ds.source(), session, prefix.String(), backup)
+	// The generator always attaches a city community, usually a country,
+	// sometimes a region (mirroring the §6 observation of 9 cities, two
+	// countries, two regions on a single route).
+	if gb.Cities == 0 {
+		t.Errorf("no city communities on an exploration path: %+v", gb)
+	}
+	if gb.Cities < gb.Regions {
+		t.Errorf("cities should dominate regions: %+v", gb)
+	}
+	if gb.Other != 0 {
+		t.Errorf("unexpected non-geo communities: %+v", gb)
+	}
+}
+
+func TestGeoBreakdownEmptyForUnknownRoute(t *testing.T) {
+	ds := beaconDay(smallBeaconCfg())
+	gb := GeoBreakdownStream(ds.source(), classify.SessionKey{Collector: "nope"}, "0.0.0.0/0", "1 2 3")
+	if gb != (GeoBreakdown{}) {
+		t.Errorf("unknown route: %+v", gb)
 	}
 }

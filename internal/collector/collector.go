@@ -97,11 +97,6 @@ func EventRecord(e classify.Event, routeServers map[uint32]bool) (*mrt.BGP4MPMes
 	}, nil
 }
 
-// WriteEvents streams events (already time-ordered) into an MRT writer.
-func WriteEvents(w *mrt.Writer, events []classify.Event, routeServers map[uint32]bool) error {
-	return WriteEventSource(w, stream.FromSlice(events), routeServers)
-}
-
 // WriteEventSource drains an event source (already time-ordered) into an
 // MRT writer, one record at a time.
 func WriteEventSource(w *mrt.Writer, src stream.EventSource, routeServers map[uint32]bool) error {
@@ -117,11 +112,15 @@ func WriteEventSource(w *mrt.Writer, src stream.EventSource, routeServers map[ui
 	return w.Flush()
 }
 
-// WriteSourcesDir writes one MRT archive per collector from per-session
-// event sources (as returned by workload.DaySources / BeaconSources)
-// without ever materializing the dataset: each collector's archive is a
-// time-ordered merge of just that collector's sessions, so the peak
-// working set is one collector's events rather than the whole day.
+// WriteSourcesDir writes one MRT archive per collector into dir from
+// per-session event sources (as returned by workload.DaySources /
+// BeaconSources), returning collector → file path. Files are named
+// <collector>.updates.mrt as the real archives name their update dumps.
+// Each collector's archive is a time-ordered merge of just that
+// collector's sessions, so the day is never materialized. Wrap each
+// source in stream.Filter(src, cfg.InWindow) for day-only archives to
+// pair with WriteRIBSnapshotDir, exactly how RIS publishes bview +
+// updates files.
 func WriteSourcesDir(peers []workload.Peer, sources []stream.EventSource, dir string) (map[string]string, error) {
 	if len(peers) != len(sources) {
 		return nil, fmt.Errorf("collector: %d peers but %d sources", len(peers), len(sources))
@@ -130,13 +129,10 @@ func WriteSourcesDir(peers []workload.Peer, sources []stream.EventSource, dir st
 		return nil, err
 	}
 	byCollector := make(map[string][]stream.EventSource)
-	routeServers := make(map[uint32]bool)
 	for i, p := range peers {
 		byCollector[p.Collector] = append(byCollector[p.Collector], sources[i])
-		if p.RouteServer {
-			routeServers[p.AS] = true
-		}
 	}
+	routeServers := workload.RouteServerASNs(peers)
 	names := make([]string, 0, len(byCollector))
 	for name := range byCollector {
 		names = append(names, name)
@@ -152,59 +148,6 @@ func WriteSourcesDir(peers []workload.Peer, sources []stream.EventSource, dir st
 		w := mrt.NewWriter(f)
 		w.ExtendedTime = true
 		if err := WriteEventSource(w, stream.Merge(byCollector[name]...), routeServers); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("collector %s: %w", name, err)
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-		files[name] = path
-	}
-	return files, nil
-}
-
-// WriteDatasetDir writes one MRT archive per collector into dir, returning
-// collector → file path. Files are named <collector>.updates.mrt as the
-// real archives name their update dumps.
-func WriteDatasetDir(ds *workload.Dataset, dir string) (map[string]string, error) {
-	return writeDatasetDir(ds, dir, false)
-}
-
-// WriteDatasetDirWindow is WriteDatasetDir restricted to the measured day,
-// for use together with WriteRIBSnapshotDir: the snapshot carries the
-// pre-day state, the update archive only the day's messages — exactly how
-// RIS publishes bview + updates files.
-func WriteDatasetDirWindow(ds *workload.Dataset, dir string) (map[string]string, error) {
-	return writeDatasetDir(ds, dir, true)
-}
-
-func writeDatasetDir(ds *workload.Dataset, dir string, windowOnly bool) (map[string]string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	byCollector := make(map[string][]classify.Event)
-	for _, e := range ds.Events {
-		if windowOnly && !ds.CountingWindow(e) {
-			continue
-		}
-		byCollector[e.Collector] = append(byCollector[e.Collector], e)
-	}
-	routeServers := ds.RouteServerASNs()
-	files := make(map[string]string, len(byCollector))
-	names := make([]string, 0, len(byCollector))
-	for name := range byCollector {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		path := filepath.Join(dir, name+".updates.mrt")
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		w := mrt.NewWriter(f)
-		w.ExtendedTime = true
-		if err := WriteEvents(w, byCollector[name], routeServers); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("collector %s: %w", name, err)
 		}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/registry"
 	"repro/internal/router"
+	"repro/internal/stream"
 	"repro/internal/topo"
 	"repro/internal/workload"
 )
@@ -108,10 +109,10 @@ func TestDatasetMRTRoundTrip(t *testing.T) {
 	cfg.PeersPerCollector = 6
 	cfg.PrefixesV4 = 80
 	cfg.PrefixesV6 = 8
-	ds := workload.GenerateDay(cfg)
+	peers, sources := workload.DaySources(cfg)
 
 	dir := t.TempDir()
-	files, err := WriteDatasetDir(ds, dir)
+	files, err := WriteSourcesDir(peers, sources, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +123,14 @@ func TestDatasetMRTRoundTrip(t *testing.T) {
 	// Direct classification.
 	clDirect := classify.New()
 	var direct classify.Counts
-	for _, e := range ds.Events {
+	for e := range stream.Merge(sources...) {
 		direct.Observe(clDirect, e)
 	}
 
 	// Via MRT + pipeline.
 	norm := pipeline.NewNormalizer(registry.Synthetic(time.Date(2009, 1, 1, 0, 0, 0, 0, time.UTC)))
-	norm.RouteServers = ds.RouteServerASNs()
+	routeServers := workload.RouteServerASNs(peers)
+	norm.RouteServers = routeServers
 	clPipe := classify.New()
 	var piped classify.Counts
 	for name, path := range files {
@@ -162,7 +164,7 @@ func TestDatasetMRTRoundTrip(t *testing.T) {
 	}
 	// Route-server fixups happened iff the dataset has RS peers that
 	// announced something.
-	if len(ds.RouteServerASNs()) > 0 && norm.Stats.RouteServerFixups == 0 {
+	if len(routeServers) > 0 && norm.Stats.RouteServerFixups == 0 {
 		t.Error("no route-server fixups recorded")
 	}
 }
@@ -171,9 +173,9 @@ func TestCountRecords(t *testing.T) {
 	cfg := workload.DefaultBeaconConfig(day)
 	cfg.Collectors = 1
 	cfg.PeersPerCollector = 2
-	ds := workload.GenerateBeacon(cfg)
+	peers, sources := workload.BeaconSources(cfg)
 	dir := t.TempDir()
-	files, err := WriteDatasetDir(ds, dir)
+	files, err := WriteSourcesDir(peers, sources, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +187,8 @@ func TestCountRecords(t *testing.T) {
 		}
 		total += n
 	}
-	if total != len(ds.Events) {
-		t.Errorf("records = %d, events = %d", total, len(ds.Events))
+	if events := stream.Count(stream.Concat(sources...)); total != events {
+		t.Errorf("records = %d, events = %d", total, events)
 	}
 }
 

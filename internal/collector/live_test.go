@@ -12,6 +12,7 @@ import (
 	"repro/internal/mrt"
 	"repro/internal/pipeline"
 	"repro/internal/session"
+	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -116,11 +117,12 @@ func TestLiveCollectorManyUpdates(t *testing.T) {
 	cfg := workload.DefaultBeaconConfig(time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC))
 	cfg.Collectors = 1
 	cfg.PeersPerCollector = 2
-	ds := workload.GenerateBeacon(cfg)
-	if len(ds.Events) < 100 {
-		t.Fatalf("dataset too small: %d", len(ds.Events))
+	_, sources := workload.BeaconSources(cfg)
+	events := stream.Collect(stream.Merge(sources...))
+	if len(events) < 100 {
+		t.Fatalf("dataset too small: %d", len(events))
 	}
-	events := ds.Events[:100]
+	events = events[:100]
 
 	var archive bytes.Buffer
 	lc, err := NewLiveCollector("127.0.0.1:0", &archive, 12654, netip.MustParseAddr("198.51.100.1"))

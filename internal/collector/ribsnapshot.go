@@ -6,10 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"time"
 
 	"repro/internal/bgp"
 	"repro/internal/mrt"
-	"repro/internal/workload"
+	"repro/internal/stream"
 )
 
 // streamKey identifies one (peer, prefix) stream inside a collector.
@@ -24,46 +25,51 @@ type ribState struct {
 	attrs  bgp.PathAttrs
 }
 
-// snapshotStates replays pre-day events into per-collector stream states.
-func snapshotStates(ds *workload.Dataset) map[string]map[streamKey]*ribState {
+// snapshotStates replays each session's pre-day events into
+// per-collector stream states. Streams never span sessions, so the
+// sessions replay one after another, each stopped at day.
+func snapshotStates(day time.Time, sources []stream.EventSource) map[string]map[streamKey]*ribState {
 	state := make(map[string]map[streamKey]*ribState)
-	for _, e := range ds.Events {
-		if !e.Time.Before(ds.Day) {
-			break // events are time-sorted
-		}
-		streams := state[e.Collector]
-		if streams == nil {
-			streams = make(map[streamKey]*ribState)
-			state[e.Collector] = streams
-		}
-		key := streamKey{peerAddr: e.PeerAddr, prefix: e.Prefix}
-		if e.Withdraw {
-			delete(streams, key)
-			continue
-		}
-		streams[key] = &ribState{
-			peerAS: e.PeerAS,
-			attrs: bgp.PathAttrs{
-				Origin:      bgp.OriginIGP,
-				ASPath:      e.ASPath,
-				Communities: e.Communities,
-				HasMED:      e.HasMED,
-				MED:         e.MED,
-			},
+	for _, src := range sources {
+		for e := range src {
+			if !e.Time.Before(day) {
+				break // session sources are time-sorted
+			}
+			streams := state[e.Collector]
+			if streams == nil {
+				streams = make(map[streamKey]*ribState)
+				state[e.Collector] = streams
+			}
+			key := streamKey{peerAddr: e.PeerAddr, prefix: e.Prefix}
+			if e.Withdraw {
+				delete(streams, key)
+				continue
+			}
+			streams[key] = &ribState{
+				peerAS: e.PeerAS,
+				attrs: bgp.PathAttrs{
+					Origin:      bgp.OriginIGP,
+					ASPath:      e.ASPath,
+					Communities: e.Communities,
+					HasMED:      e.HasMED,
+					MED:         e.MED,
+				},
+			}
 		}
 	}
 	return state
 }
 
 // WriteRIBSnapshotDir writes one TABLE_DUMP_V2 snapshot per collector
-// capturing each stream's state at the start of the dataset's measured
-// day — the bview files RIS publishes alongside its update archives.
-// Files are named <collector>.bview.mrt.
-func WriteRIBSnapshotDir(ds *workload.Dataset, dir string) (map[string]string, error) {
+// capturing each stream's state at the start of day, from per-session
+// time-sorted sources (as returned by workload.DaySources) that are
+// each read only up to day — the bview files RIS publishes alongside
+// its update archives. Files are named <collector>.bview.mrt.
+func WriteRIBSnapshotDir(day time.Time, sources []stream.EventSource, dir string) (map[string]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	state := snapshotStates(ds)
+	state := snapshotStates(day, sources)
 	files := make(map[string]string, len(state))
 	collectors := make([]string, 0, len(state))
 	for name := range state {
@@ -72,7 +78,7 @@ func WriteRIBSnapshotDir(ds *workload.Dataset, dir string) (map[string]string, e
 	sort.Strings(collectors)
 	for _, name := range collectors {
 		path := filepath.Join(dir, name+".bview.mrt")
-		if err := writeSnapshot(path, ds, state[name]); err != nil {
+		if err := writeSnapshot(path, day, state[name]); err != nil {
 			return nil, fmt.Errorf("collector %s: %w", name, err)
 		}
 		files[name] = path
@@ -82,7 +88,7 @@ func WriteRIBSnapshotDir(ds *workload.Dataset, dir string) (map[string]string, e
 
 // writeSnapshot emits a PEER_INDEX_TABLE followed by one RIB record per
 // prefix for one collector.
-func writeSnapshot(path string, ds *workload.Dataset, streams map[streamKey]*ribState) error {
+func writeSnapshot(path string, day time.Time, streams map[streamKey]*ribState) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -117,7 +123,7 @@ func writeSnapshot(path string, ds *workload.Dataset, streams map[streamKey]*rib
 		bgpID := netip.AddrFrom4([4]byte{10, 255, byte(i >> 8), byte(i)})
 		table.Peers = append(table.Peers, mrt.Peer{BGPID: bgpID, Addr: addr, AS: as})
 	}
-	if err := w.Write(ds.Day, table); err != nil {
+	if err := w.Write(day, table); err != nil {
 		return err
 	}
 
@@ -143,11 +149,11 @@ func writeSnapshot(path string, ds *workload.Dataset, streams map[streamKey]*rib
 		for _, key := range keys {
 			rec.Entries = append(rec.Entries, mrt.RIBEntry{
 				PeerIndex:  index[key.peerAddr],
-				Originated: ds.Day,
+				Originated: day,
 				Attrs:      streams[key].attrs,
 			})
 		}
-		if err := w.Write(ds.Day, rec); err != nil {
+		if err := w.Write(day, rec); err != nil {
 			return err
 		}
 	}

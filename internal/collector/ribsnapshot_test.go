@@ -11,6 +11,7 @@ import (
 	"repro/internal/mrt"
 	"repro/internal/pipeline"
 	"repro/internal/registry"
+	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -24,14 +25,14 @@ func TestRIBSnapshotBootstrap(t *testing.T) {
 	cfg.PeersPerCollector = 5
 	cfg.PrefixesV4 = 60
 	cfg.PrefixesV6 = 6
-	ds := workload.GenerateDay(cfg)
+	peers, sources := workload.DaySources(cfg)
 
 	// Reference: classify everything directly, counting only the day.
 	clRef := classify.New()
 	var ref classify.Counts
-	for _, e := range ds.Events {
+	for e := range stream.Merge(sources...) {
 		res, ok := clRef.Observe(e)
-		if !ds.CountingWindow(e) {
+		if !cfg.InWindow(e) {
 			continue
 		}
 		if !ok {
@@ -43,11 +44,15 @@ func TestRIBSnapshotBootstrap(t *testing.T) {
 
 	// bview + updates route.
 	dir := t.TempDir()
-	ribFiles, err := WriteRIBSnapshotDir(ds, filepath.Join(dir, "rib"))
+	ribFiles, err := WriteRIBSnapshotDir(cfg.Day, sources, filepath.Join(dir, "rib"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	updFiles, err := WriteDatasetDirWindow(ds, filepath.Join(dir, "upd"))
+	daySources := make([]stream.EventSource, len(sources))
+	for i, src := range sources {
+		daySources[i] = stream.Filter(src, cfg.InWindow)
+	}
+	updFiles, err := WriteSourcesDir(peers, daySources, filepath.Join(dir, "upd"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +60,8 @@ func TestRIBSnapshotBootstrap(t *testing.T) {
 		t.Fatalf("files: %v / %v", ribFiles, updFiles)
 	}
 
-	norm := pipeline.NewNormalizer(registry.Synthetic(ds.Day.AddDate(-10, 0, 0)))
-	norm.RouteServers = ds.RouteServerASNs()
+	norm := pipeline.NewNormalizer(registry.Synthetic(cfg.Day.AddDate(-10, 0, 0)))
+	norm.RouteServers = workload.RouteServerASNs(peers)
 	cl := classify.New()
 	var got classify.Counts
 	for name, ribPath := range ribFiles {
@@ -106,21 +111,17 @@ func TestRIBSnapshotBootstrap(t *testing.T) {
 
 // TestRIBSnapshotStructure checks the snapshot's MRT framing directly.
 func TestRIBSnapshotStructure(t *testing.T) {
-	cfg := workload.DefaultBeaconConfig(time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC))
-	cfg.Collectors = 1
-	cfg.PeersPerCollector = 3
-	ds := workload.GenerateBeacon(cfg)
-	// Beacon datasets have no pre-day events, so inject warm-up state by
-	// using the day generator instead for structure checks.
-	dcfg := workload.DefaultDayConfig(ds.Day)
+	// The day generator, not the beacon one: beacon days have no pre-day
+	// events, so their snapshots would be empty.
+	dcfg := workload.DefaultDayConfig(time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC))
 	dcfg.Collectors = 1
 	dcfg.PeersPerCollector = 3
 	dcfg.PrefixesV4 = 20
 	dcfg.PrefixesV6 = 2
-	ds = workload.GenerateDay(dcfg)
+	_, sources := workload.DaySources(dcfg)
 
 	dir := t.TempDir()
-	files, err := WriteRIBSnapshotDir(ds, dir)
+	files, err := WriteRIBSnapshotDir(dcfg.Day, sources, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/classify"
@@ -80,6 +79,10 @@ type SnapshotIndex struct {
 	dir   string
 	named []NamedAnalyzer
 
+	// refreshMu serializes Refresh: concurrent refreshes would build the
+	// same sidecars twice and could swap in an older view last.
+	refreshMu sync.Mutex
+
 	mu       sync.RWMutex
 	manifest Manifest
 	snaps    map[string]*PartitionSnapshot
@@ -120,8 +123,11 @@ func (ix *SnapshotIndex) Manifest() Manifest {
 
 // Refresh incrementally rebuilds sidecars for newly sealed partitions
 // and reloads the index. Safe to call concurrently with Query: queries
-// in flight keep using the previous view until the swap.
+// in flight keep using the previous view until the swap. Concurrent
+// Refresh calls run one at a time, so the view only moves forward.
 func (ix *SnapshotIndex) Refresh(ctx context.Context) (SnapshotBuildStats, error) {
+	ix.refreshMu.Lock()
+	defer ix.refreshMu.Unlock()
 	bs, err := BuildSnapshots(ctx, ix.dir, ix.named)
 	if err != nil {
 		return bs, err
@@ -306,52 +312,17 @@ func (ix *SnapshotIndex) Query(ctx context.Context, q Query, workers int, named 
 	}
 	ss := ServeStats{Workers: workers, Plan: pst}
 	start := time.Now()
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	var failed atomic.Bool
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var br blockReader
-			// Safe to recycle at worker exit: every plan's locals were
-			// resolved into the protos under the merge lock.
-			defer br.release()
-			for idx := range jobs {
-				if failed.Load() {
-					continue
-				}
-				sp := plans[idx]
-				locals := classify.FreshAll(protos)
-				cl := classify.New()
-				var shardScan ScanStats
-				merges := 0
-				err := sp.run(ctx, &br, cl, locals, keys, protos, q.Window, &shardScan, &merges)
-				mu.Lock()
-				if err != nil {
-					failed.Store(true)
-					if firstErr == nil {
-						firstErr = err
-					}
-				} else {
-					classify.MergeAll(protos, locals)
-					ss.Scan.Add(shardScan)
-					ss.Merges += merges
-				}
-				mu.Unlock()
-			}
-		}()
-	}
+	scans := make([]ScanStats, len(plans))
+	merges := make([]int, len(plans))
+	_, _, err = runShards(len(plans), workers, protos, func(idx int, br *blockReader, locals []classify.Analyzer) error {
+		return plans[idx].run(ctx, br, classify.New(), locals, keys, protos, q.Window, &scans[idx], &merges[idx])
+	})
 	for i := range plans {
-		jobs <- i
+		ss.Scan.Add(scans[i])
+		ss.Merges += merges[i]
 	}
-	close(jobs)
-	wg.Wait()
 	ss.Elapsed = time.Since(start)
-	return ss, firstErr
+	return ss, err
 }
 
 // run executes one shard's plan in partition order, maintaining the

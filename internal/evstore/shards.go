@@ -114,8 +114,7 @@ type ParallelStats struct {
 }
 
 // ScanParallel decodes, classifies, and analyzes the store's shards on
-// a worker pool, generalizing stream.ParallelRun to predicate-pushdown
-// store scans: each worker owns one blockReader (the flate
+// a worker pool (runShards): each worker owns one blockReader (the
 // decompressor, block buffers, and batch decode scratch are reused
 // across every shard it drains) and runs a fresh classifier plus Fresh
 // analyzer copies per shard; finished shards merge their accumulators
@@ -148,60 +147,78 @@ func ScanParallel(ctx context.Context, dir string, q Query, tally TimeRange, wor
 	}
 	ps := ParallelStats{Workers: workers, Shards: make([]ShardStats, len(shards))}
 	start := time.Now()
+	merged, mergeElapsed, err := runShards(len(shards), workers, analyzers, func(idx int, br *blockReader, locals []classify.Analyzer) error {
+		sh := shards[idx]
+		ss := &ps.Shards[idx]
+		ss.Collector = sh.Collector
+		run := newBatchRunner(classify.New(), locals, tally)
+		shardStart := time.Now()
+		_, err := scanEntriesBatch(ctx, sh.entries, sh.cq, br, &ss.Scan, run.proj, func(b *classify.Batch, sel []int32) bool {
+			run.observe(b, sel)
+			return true
+		})
+		ss.Elapsed = time.Since(shardStart)
+		return err
+	})
+	ps.Merges = merged * len(analyzers)
+	ps.MergeElapsed = mergeElapsed
+	for _, ss := range ps.Shards {
+		ps.Total.Add(ss.Scan)
+	}
+	ps.Elapsed = time.Since(start)
+	return ps, err
+}
 
+// runShards is the worker pool behind ScanParallel and
+// SnapshotIndex.Query. It runs job for each of n shards on up to
+// workers goroutines. Each worker owns one blockReader, reused across
+// the jobs it drains and released when it exits — safe because every
+// job's locals are resolved into protos under the merge lock before
+// the worker takes its next job. Each job gets fresh analyzer copies
+// (classify.FreshAll(protos)); a job that returns nil has them merged
+// into protos under that one lock. The first error wins: the queue
+// drains without running further jobs, and protos hold partial state
+// the caller must discard. Callers record their own per-job stats
+// inside job. runShards returns how many jobs merged and the time
+// spent merging.
+func runShards(n, workers int, protos []classify.Analyzer, job func(idx int, br *blockReader, locals []classify.Analyzer) error) (merged int, mergeElapsed time.Duration, err error) {
+	workers = max(1, min(workers, n))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	var mu sync.Mutex // serializes merges and firstErr
-	var firstErr error
+	var mu sync.Mutex // serializes merges, the merge tallies, and err
 	var failed atomic.Bool
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var br blockReader
-			// Safe to recycle at worker exit: every shard's locals were
-			// resolved under the merge lock before the next job started.
 			defer br.release()
 			for idx := range jobs {
 				if failed.Load() {
-					continue // an earlier shard failed; drain the queue
+					continue // an earlier job failed; drain the queue
 				}
-				sh := shards[idx]
-				ss := &ps.Shards[idx]
-				ss.Collector = sh.Collector
-				locals := classify.FreshAll(analyzers)
-				run := newBatchRunner(classify.New(), locals, tally)
-				shardStart := time.Now()
-				_, err := scanEntriesBatch(ctx, sh.entries, sh.cq, &br, &ss.Scan, run.proj, func(b *classify.Batch, sel []int32) bool {
-					run.observe(b, sel)
-					return true
-				})
-				ss.Elapsed = time.Since(shardStart)
+				locals := classify.FreshAll(protos)
+				jobErr := job(idx, &br, locals)
 				mu.Lock()
-				if err != nil {
+				if jobErr != nil {
 					failed.Store(true)
-					if firstErr == nil {
-						firstErr = err
+					if err == nil {
+						err = jobErr
 					}
 				} else {
 					mergeStart := time.Now()
-					classify.MergeAll(analyzers, locals)
-					ps.Merges += len(analyzers)
-					ps.MergeElapsed += time.Since(mergeStart)
+					classify.MergeAll(protos, locals)
+					mergeElapsed += time.Since(mergeStart)
+					merged++
 				}
 				mu.Unlock()
 			}
 		}()
 	}
-	for i := range shards {
+	for i := 0; i < n; i++ {
 		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-
-	for _, ss := range ps.Shards {
-		ps.Total.Add(ss.Scan)
-	}
-	ps.Elapsed = time.Since(start)
-	return ps, firstErr
+	return merged, mergeElapsed, err
 }

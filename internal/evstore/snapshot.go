@@ -142,16 +142,29 @@ func writeSnapshotCodec(partPath string, snap *PartitionSnapshot, codec Codec) e
 	out = wire.AppendUvarint(out, uint64(len(body)))
 	out = append(out, data...)
 
+	// A unique temp file per writer: concurrent builders (two refreshes,
+	// or a daemon and an `evstore snapshot` process) must never rename
+	// each other's half-written file away.
 	path := SnapshotPath(partPath)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, out, 0o644); err != nil {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	tmp := f.Name()
+	_, err = f.Write(out)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if closeErr := f.Close(); err == nil {
+		err = closeErr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
-		return err
 	}
-	return nil
+	return err
 }
 
 // ReadSnapshot reads the sidecar for the given partition path.

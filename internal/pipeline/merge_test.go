@@ -8,7 +8,19 @@ import (
 	"time"
 
 	"repro/internal/classify"
+	"repro/internal/stream"
 )
+
+// mergeEvents merges time-sorted per-collector event slices into one
+// globally time-ordered slice through stream.Merge, the way analyses that
+// span collector archives build a global order.
+func mergeEvents(streams ...[]classify.Event) []classify.Event {
+	sources := make([]stream.EventSource, len(streams))
+	for i, s := range streams {
+		sources[i] = stream.FromSlice(s)
+	}
+	return stream.Collect(stream.Merge(sources...))
+}
 
 func mkEvents(collector string, times ...int) []classify.Event {
 	out := make([]classify.Event, len(times))
@@ -27,7 +39,7 @@ func TestMergeEventsOrdered(t *testing.T) {
 	a := mkEvents("rrc00", 1, 4, 9)
 	b := mkEvents("rrc01", 2, 3, 10)
 	c := mkEvents("rrc02", 0, 5)
-	got := MergeEvents(a, b, c)
+	got := mergeEvents(a, b, c)
 	if len(got) != 8 {
 		t.Fatalf("len = %d", len(got))
 	}
@@ -44,26 +56,26 @@ func TestMergeEventsOrdered(t *testing.T) {
 func TestMergeEventsStableTies(t *testing.T) {
 	a := mkEvents("rrc00", 5)
 	b := mkEvents("rrc01", 5)
-	got := MergeEvents(a, b)
+	got := mergeEvents(a, b)
 	if got[0].Collector != "rrc00" || got[1].Collector != "rrc01" {
 		t.Errorf("tie order: %s, %s (want input-stream order)", got[0].Collector, got[1].Collector)
 	}
 	// Reversed argument order flips the tie.
-	got = MergeEvents(b, a)
+	got = mergeEvents(b, a)
 	if got[0].Collector != "rrc01" {
 		t.Errorf("tie order after swap: %s", got[0].Collector)
 	}
 }
 
 func TestMergeEventsEdgeCases(t *testing.T) {
-	if out := MergeEvents(); len(out) != 0 {
+	if out := mergeEvents(); len(out) != 0 {
 		t.Error("no streams should merge to empty")
 	}
-	if out := MergeEvents(nil, nil); len(out) != 0 {
+	if out := mergeEvents(nil, nil); len(out) != 0 {
 		t.Error("nil streams should merge to empty")
 	}
 	single := mkEvents("rrc00", 1, 2, 3)
-	out := MergeEvents(single)
+	out := mergeEvents(single)
 	if len(out) != 3 {
 		t.Errorf("single stream: %d", len(out))
 	}
@@ -85,7 +97,7 @@ func TestMergeEventsMatchesGlobalSort(t *testing.T) {
 		all = append(all, ev...)
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].Time.Before(all[j].Time) })
-	got := MergeEvents(streams...)
+	got := mergeEvents(streams...)
 	if len(got) != len(all) {
 		t.Fatalf("len %d vs %d", len(got), len(all))
 	}

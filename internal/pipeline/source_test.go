@@ -14,7 +14,7 @@ import (
 // TestMRTSourceDrivesClassification is the end-to-end streaming path: a
 // generated day is archived per collector (never materialized as one
 // slice), read back lazily through the normalizer, and classified — and
-// the counts must match classifying the materialized dataset directly.
+// the counts must match classifying the merged day directly.
 func TestMRTSourceDrivesClassification(t *testing.T) {
 	day := time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
 	cfg := workload.DefaultDayConfig(day)
@@ -39,15 +39,14 @@ func TestMRTSourceDrivesClassification(t *testing.T) {
 		t.Fatalf("wrote %d archives, want %d", len(files), cfg.Collectors)
 	}
 
-	// Reference: the materialized slice path.
-	ds := workload.GenerateDay(cfg)
-	want := stream.Classify(ds.Source(), ds.CountingWindow)
+	// Reference: the globally time-ordered day, classified directly.
+	want := stream.Classify(stream.Merge(sources...), cfg.InWindow)
 
 	// Consumer side: archives → normalizer → classifier, one record at a
 	// time. Route-server fixup must undo the collector's ASN trimming so
 	// the round trip is lossless.
 	norm := pipeline.NewNormalizer(nil)
-	norm.RouteServers = ds.RouteServerASNs()
+	norm.RouteServers = workload.RouteServerASNs(peers)
 	var srcErr error
 	names, archSources, err := pipeline.DirSources(norm, dir, &srcErr)
 	if err != nil {
@@ -61,7 +60,7 @@ func TestMRTSourceDrivesClassification(t *testing.T) {
 		t.Fatal(srcErr)
 	}
 	if got != want {
-		t.Fatalf("archive-backed counts %+v != dataset counts %+v", got, want)
+		t.Fatalf("archive-backed counts %+v != direct counts %+v", got, want)
 	}
 }
 

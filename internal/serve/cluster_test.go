@@ -569,6 +569,14 @@ func BenchmarkScatterGather(b *testing.B) {
 	}
 	bench := func(s *serve.Server, spec serve.QuerySpec, uncached bool) func(*testing.B) {
 		return func(b *testing.B) {
+			if !uncached {
+				// Fill the cache outside the timer: otherwise a 1x run
+				// times the first miss, not the cached tier.
+				if _, err := s.Answer(context.Background(), spec); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+			}
 			for i := 0; i < b.N; i++ {
 				sp := spec
 				if uncached {

@@ -67,7 +67,7 @@ func Filter(src EventSource, keep func(classify.Event) bool) EventSource {
 }
 
 // Window restricts a source to events with from <= Time < to, the
-// counting-window convention of workload.Dataset.
+// half-open counting-window convention of workload.DayConfig.InWindow.
 func Window(src EventSource, from, to time.Time) EventSource {
 	return Filter(src, func(e classify.Event) bool {
 		return !e.Time.Before(from) && e.Time.Before(to)

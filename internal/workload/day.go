@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/classify"
-	"repro/internal/stream"
 )
 
 // DayConfig parameterizes the full-day dataset generator (d_mar20 and the
@@ -45,8 +44,8 @@ type DayConfig struct {
 }
 
 // InWindow reports whether an event falls inside the configured measured
-// day — the streaming analogue of Dataset.CountingWindow, usable before
-// (or without) materializing a Dataset.
+// day. Warm-up events before it feed classifier state but are not
+// counted.
 func (c DayConfig) InWindow(e classify.Event) bool {
 	return inDay(c.Day, e)
 }
@@ -201,21 +200,6 @@ func (s *streamScript) emitWithdraw(t time.Time) {
 	})
 }
 
-// GenerateDay synthesizes one full day of collector updates, materialized
-// and globally time-ordered. It is the compatibility wrapper over
-// DaySources; streaming consumers should merge or concatenate the
-// per-session sources directly instead of holding the whole day.
-// Collect-then-sort keeps only one session slice live beyond the output
-// (a k-way Merge would hold every session's slice concurrently), and the
-// stable sort reproduces Merge's tie-break exactly: per-session order is
-// preserved and cross-session ties keep source (session) order.
-func GenerateDay(cfg DayConfig) *Dataset {
-	peers, sources := DaySources(cfg)
-	events := stream.Collect(stream.Concat(sources...))
-	sortEvents(events)
-	return &Dataset{Day: cfg.Day, Peers: peers, Events: events}
-}
-
 // dayPrefixes builds the day's announced prefix universe.
 func dayPrefixes(cfg DayConfig) []netip.Prefix {
 	prefixes := make([]netip.Prefix, 0, cfg.PrefixesV4+cfg.PrefixesV6)
@@ -234,8 +218,7 @@ func dayPrefixes(cfg DayConfig) []netip.Prefix {
 
 // dayPeerEvents generates one peer session's full day across all prefixes,
 // time-sorted. Per-stream RNGs are derived from (prefix, peer) indices, so
-// the events are identical whether generation is driven prefix-major (the
-// old materialized path) or peer-major (the streaming path).
+// the events do not depend on the order sessions are generated in.
 func dayPeerEvents(cfg DayConfig, peer Peer, peerIdx int, prefixes []netip.Prefix, menu [5]float64) []classify.Event {
 	transitAlt := []uint32{701, 7018, 3320, 6762, 9002, 4637, 7473, 12956}
 	var events []classify.Event

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/beacon"
 	"repro/internal/classify"
+	"repro/internal/stream"
 )
 
 var day = time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
@@ -27,12 +28,30 @@ func smallBeaconConfig() BeaconConfig {
 	return cfg
 }
 
-func classifyAll(ds *Dataset) classify.Counts {
+// fixture is one generated day materialized globally time-ordered: the
+// stable stream.Merge of its per-session sources.
+type fixture struct {
+	events   []classify.Event
+	day      time.Time
+	inWindow func(classify.Event) bool
+}
+
+func generateDay(cfg DayConfig) fixture {
+	_, sources := DaySources(cfg)
+	return fixture{events: stream.Collect(stream.Merge(sources...)), day: cfg.Day, inWindow: cfg.InWindow}
+}
+
+func generateBeacon(cfg BeaconConfig) fixture {
+	_, sources := BeaconSources(cfg)
+	return fixture{events: stream.Collect(stream.Merge(sources...)), day: cfg.Day, inWindow: cfg.InWindow}
+}
+
+func classifyAll(ds fixture) classify.Counts {
 	cl := classify.New()
 	var counts classify.Counts
-	for _, e := range ds.Events {
+	for _, e := range ds.events {
 		res, ok := cl.Observe(e)
-		if !ds.CountingWindow(e) {
+		if !ds.inWindow(e) {
 			continue
 		}
 		if !ok {
@@ -45,13 +64,13 @@ func classifyAll(ds *Dataset) classify.Counts {
 }
 
 func TestGenerateDayDeterministic(t *testing.T) {
-	a := GenerateDay(smallDayConfig())
-	b := GenerateDay(smallDayConfig())
-	if len(a.Events) != len(b.Events) {
-		t.Fatalf("event counts differ: %d vs %d", len(a.Events), len(b.Events))
+	a := generateDay(smallDayConfig())
+	b := generateDay(smallDayConfig())
+	if len(a.events) != len(b.events) {
+		t.Fatalf("event counts differ: %d vs %d", len(a.events), len(b.events))
 	}
-	for i := range a.Events {
-		x, y := a.Events[i], b.Events[i]
+	for i := range a.events {
+		x, y := a.events[i], b.events[i]
 		if !x.Time.Equal(y.Time) || x.Prefix != y.Prefix || x.PeerAddr != y.PeerAddr ||
 			x.Withdraw != y.Withdraw || !x.ASPath.Equal(y.ASPath) || !x.Communities.Equal(y.Communities) {
 			t.Fatalf("event %d differs:\n%+v\n%+v", i, x, y)
@@ -60,11 +79,11 @@ func TestGenerateDayDeterministic(t *testing.T) {
 	// A different seed produces a different stream.
 	cfg := smallDayConfig()
 	cfg.Seed++
-	c := GenerateDay(cfg)
-	if len(c.Events) == len(a.Events) {
+	c := generateDay(cfg)
+	if len(c.events) == len(a.events) {
 		same := true
-		for i := range c.Events {
-			if !c.Events[i].Time.Equal(a.Events[i].Time) {
+		for i := range c.events {
+			if !c.events[i].Time.Equal(a.events[i].Time) {
 				same = false
 				break
 			}
@@ -76,29 +95,29 @@ func TestGenerateDayDeterministic(t *testing.T) {
 }
 
 func TestGenerateDaySorted(t *testing.T) {
-	ds := GenerateDay(smallDayConfig())
-	if len(ds.Events) == 0 {
+	ds := generateDay(smallDayConfig())
+	if len(ds.events) == 0 {
 		t.Fatal("no events")
 	}
-	for i := 1; i < len(ds.Events); i++ {
-		if ds.Events[i].Time.Before(ds.Events[i-1].Time) {
+	for i := 1; i < len(ds.events); i++ {
+		if ds.events[i].Time.Before(ds.events[i-1].Time) {
 			t.Fatalf("events out of order at %d", i)
 		}
 	}
 }
 
 func TestGenerateDayWarmup(t *testing.T) {
-	ds := GenerateDay(smallDayConfig())
+	ds := generateDay(smallDayConfig())
 	var warm, inday int
-	for _, e := range ds.Events {
-		if ds.CountingWindow(e) {
+	for _, e := range ds.events {
+		if ds.inWindow(e) {
 			inday++
 		} else {
 			warm++
 			if e.Withdraw {
 				t.Error("warm-up events must be announcements")
 			}
-			if !e.Time.Before(ds.Day) {
+			if !e.Time.Before(ds.day) {
 				t.Error("non-window event after day start")
 			}
 		}
@@ -114,7 +133,7 @@ func TestDayTypeSharesMatchTable2(t *testing.T) {
 	}
 	// Paper Table 2 (d_mar20): pc 33.7, pn 15.1, nc 24.5, nn 25.7,
 	// xc 0.3, xn 0.7. The synthetic mechanisms should land near these.
-	ds := GenerateDay(DefaultDayConfig(day))
+	ds := generateDay(DefaultDayConfig(day))
 	c := classifyAll(ds)
 	checks := []struct {
 		ty       classify.Type
@@ -151,10 +170,10 @@ func TestDayCommunityPrevalence(t *testing.T) {
 		t.Skip("generates a full-scale synthetic day; skipped in -short mode")
 	}
 	// ~73% of announcements carried communities in d_mar20.
-	ds := GenerateDay(DefaultDayConfig(day))
+	ds := generateDay(DefaultDayConfig(day))
 	var withComm, total int
-	for _, e := range ds.Events {
-		if !ds.CountingWindow(e) || e.Withdraw {
+	for _, e := range ds.events {
+		if !ds.inWindow(e) || e.Withdraw {
 			continue
 		}
 		total++
@@ -188,10 +207,10 @@ func TestHistoricalGrowth(t *testing.T) {
 		cfg.PeersPerCollector = maxInt(3, cfg.PeersPerCollector/3)
 		cfg.PrefixesV4 = 150
 		cfg.PrefixesV6 = 15
-		ds := GenerateDay(cfg)
+		ds := generateDay(cfg)
 		n := 0
-		for _, e := range ds.Events {
-			if ds.CountingWindow(e) && !e.Withdraw {
+		for _, e := range ds.events {
+			if ds.inWindow(e) && !e.Withdraw {
 				n++
 			}
 		}
@@ -211,7 +230,7 @@ func maxInt(a, b int) int {
 
 func TestBeaconSharesMatchTable2(t *testing.T) {
 	// Paper Table 2 (d_beacon): pc 44.6, pn 29.9, nc 13.8, nn 11.2.
-	ds := GenerateBeacon(DefaultBeaconConfig(day))
+	ds := generateBeacon(DefaultBeaconConfig(day))
 	c := classifyAll(ds)
 	checks := []struct {
 		ty     classify.Type
@@ -235,14 +254,14 @@ func TestBeaconSharesMatchTable2(t *testing.T) {
 
 func TestBeaconWithdrawalsPerStream(t *testing.T) {
 	cfg := smallBeaconConfig()
-	ds := GenerateBeacon(cfg)
+	ds := generateBeacon(cfg)
 	// Every stream sees 6 withdrawals (one per withdrawal phase).
 	type sk struct {
 		s classify.SessionKey
 		p string
 	}
 	wd := make(map[sk]int)
-	for _, e := range ds.Events {
+	for _, e := range ds.events {
 		if e.Withdraw {
 			wd[sk{e.Session(), e.Prefix.String()}]++
 		}
@@ -260,8 +279,8 @@ func TestBeaconWithdrawalsPerStream(t *testing.T) {
 
 func TestBeaconEventsRespectPhases(t *testing.T) {
 	cfg := smallBeaconConfig()
-	ds := GenerateBeacon(cfg)
-	for _, e := range ds.Events {
+	ds := generateBeacon(cfg)
+	for _, e := range ds.events {
 		if got := cfg.Schedule.PhaseAt(e.Time); got == beacon.PhaseOutside {
 			t.Fatalf("event at %v falls outside both phase windows", e.Time)
 		}
@@ -274,13 +293,13 @@ func TestBeaconEventsRespectPhases(t *testing.T) {
 }
 
 func TestBeaconDeterministic(t *testing.T) {
-	a := GenerateBeacon(smallBeaconConfig())
-	b := GenerateBeacon(smallBeaconConfig())
-	if len(a.Events) != len(b.Events) {
+	a := generateBeacon(smallBeaconConfig())
+	b := generateBeacon(smallBeaconConfig())
+	if len(a.events) != len(b.events) {
 		t.Fatalf("event counts differ")
 	}
-	for i := range a.Events {
-		if !a.Events[i].Time.Equal(b.Events[i].Time) || a.Events[i].Prefix != b.Events[i].Prefix {
+	for i := range a.events {
+		if !a.events[i].Time.Equal(b.events[i].Time) || a.events[i].Prefix != b.events[i].Prefix {
 			t.Fatalf("event %d differs", i)
 		}
 	}
